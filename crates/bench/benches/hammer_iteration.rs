@@ -2,10 +2,8 @@
 //! hammer iteration (the simulator's hottest path).
 use criterion::{criterion_group, criterion_main, Criterion};
 use pthammer::{
-    eviction::{LlcEvictionPool, TlbEvictionPool},
-    pairs::candidate_pairs,
-    spray::spray_page_tables,
-    AttackConfig, ImplicitHammer, PtHammer,
+    hammer::strategy::ImplicitSingleSided, pairs::candidate_pairs, AttackConfig, CompiledTrace,
+    HammerStrategy, PtHammer, Target,
 };
 use pthammer_cache::{CacheHierarchyConfig, LlcConfig, ReplacementPolicy};
 use pthammer_dram::FlipModelProfile;
@@ -34,36 +32,35 @@ fn bench_hammer_iteration(c: &mut Criterion) {
         llc_profile_trials: 4,
         ..AttackConfig::quick_test(3, false)
     };
-    let tlb_pool = {
-        let pages = PtHammer::tlb_eviction_pages(&sys);
-        TlbEvictionPool::build(&mut sys, pid, &config, pages)
-    }
-    .unwrap();
-    let llc_pool = {
-        let lines = PtHammer::llc_eviction_lines(&sys);
-        LlcEvictionPool::build(&mut sys, pid, &config, lines)
-    }
-    .unwrap();
-    let spray = spray_page_tables(&mut sys, pid, &config).unwrap();
+    let prepared = PtHammer::new(config.clone())
+        .unwrap()
+        .prepare(&mut sys, pid)
+        .unwrap();
     let row_span = sys.machine().config().dram.geometry.row_span_bytes();
     let mut rng = StdRng::seed_from_u64(3);
-    let pair = candidate_pairs(&spray, row_span, 1, &mut rng)[0];
-    let hammer = ImplicitHammer::prepare(&mut sys, pid, pair, &tlb_pool, &llc_pool, 4).unwrap();
+    let pair = candidate_pairs(&prepared.spray, row_span, 1, &mut rng)[0];
+    let armed = ImplicitSingleSided
+        .arm(&mut sys, pid, pair, &prepared, &config, 0)
+        .unwrap()
+        .armed
+        .unwrap();
+    let trace = CompiledTrace::compile(&armed, ImplicitSingleSided.round_ops()).unwrap();
+    let (tlb_low, llc_low) = armed.sets_for(Target::Low).unwrap();
 
     let mut group = c.benchmark_group("hammer");
     group.sample_size(20);
     group.bench_function("implicit_double_sided_iteration", |b| {
-        b.iter(|| hammer.hammer_round(&mut sys, pid).unwrap())
+        b.iter(|| trace.hammer(&mut sys, pid, 1).unwrap())
     });
     // Component benchmarks of the same round, for hot-path attribution.
     group.bench_function("tlb_evict_one_target", |b| {
-        b.iter(|| hammer.tlb_low.evict(&mut sys, pid).unwrap())
+        b.iter(|| tlb_low.evict(&mut sys, pid).unwrap())
     });
     group.bench_function("llc_evict_one_target", |b| {
-        b.iter(|| hammer.llc_low.evict(&mut sys, pid).unwrap())
+        b.iter(|| llc_low.evict(&mut sys, pid).unwrap())
     });
     group.bench_function("touch_target", |b| {
-        b.iter(|| sys.access(pid, hammer.pair.low).unwrap())
+        b.iter(|| sys.access(pid, armed.pair.low).unwrap())
     });
     group.finish();
 }

@@ -2,11 +2,12 @@
 
 use pthammer::{
     eviction::{calibrate_llc_eviction, calibrate_tlb_eviction, LlcEvictionPool, TlbEvictionPool},
+    hammer::strategy::ImplicitSingleSided,
     hammer::{ExplicitHammer, ExplicitHammerConfig, ExplicitMode},
     pairs::{candidate_pairs, conflict_threshold, verify_same_bank},
     spray::spray_page_tables,
-    AttackConfig, AttackOutcome, CompiledTrace, HammerMode, ImplicitHammer, PtHammer, RunOptions,
-    TraceProfile,
+    AttackConfig, AttackOutcome, CompiledTrace, HammerMode, HammerStrategy, ImplicitHammer,
+    PtHammer, RunOptions,
 };
 use pthammer_defenses::{AnvilDetector, AnvilMode};
 use pthammer_dram::{FlipModelProfile, TrrConfig};
@@ -14,7 +15,7 @@ use pthammer_harness::{
     run_campaign, run_cell, CampaignConfig, CampaignReport, CellCoord, ProfileChoice,
     ScenarioMatrix,
 };
-use pthammer_kernel::{DefaultPolicy, KernelConfig, PlacementPolicy, System};
+use pthammer_kernel::{DefaultPolicy, KernelConfig, Pid, PlacementPolicy, System};
 use pthammer_perf::{HammerAccounting, MachineCounters, Stopwatch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -249,34 +250,30 @@ pub fn fig6_hammer_samples(
         seed,
     );
     let pid = sys.spawn_process(1000).expect("spawn");
-    let config = scale.attack_config(seed, superpages);
-    let tlb_pool = {
-        let pages = PtHammer::tlb_eviction_pages(&sys);
-        TlbEvictionPool::build(&mut sys, pid, &config, pages)
-    }
-    .expect("TLB pool");
-    let llc_pool = {
-        let lines = PtHammer::llc_eviction_lines(&sys);
-        LlcEvictionPool::build(&mut sys, pid, &config, lines)
-    }
-    .expect("LLC pool");
-    let spray = spray_page_tables(&mut sys, pid, &config).expect("spray");
+    let trace = first_pair_trace(&mut sys, pid, &scale.attack_config(seed, superpages));
+    trace.hammer(&mut sys, pid, 10).expect("warm up");
+    (0..50)
+        .map(|_| trace.replay(&mut sys, pid).expect("sample").cycles)
+        .collect()
+}
+
+/// Prepares the attack and compiles the paper's double-sided iteration for
+/// the first candidate pair, armed without same-bank verification
+/// ([`ImplicitSingleSided`]) — the fixed-pair setup of the loop-level
+/// measurements (Figure 6, ANVIL).
+fn first_pair_trace(sys: &mut System, pid: Pid, config: &AttackConfig) -> CompiledTrace {
+    let prepared = PtHammer::new(config.clone())
+        .expect("config")
+        .prepare(sys, pid)
+        .expect("prepare");
     let row_span = sys.machine().config().dram.geometry.row_span_bytes();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let pair = candidate_pairs(&spray, row_span, 1, &mut rng)[0];
-    let hammer = ImplicitHammer::prepare(
-        &mut sys,
-        pid,
-        pair,
-        &tlb_pool,
-        &llc_pool,
-        config.llc_profile_trials,
-    )
-    .expect("prepare");
-    hammer.hammer(&mut sys, pid, 10).expect("warm up");
-    hammer
-        .round_cycle_samples(&mut sys, pid, 50)
-        .expect("samples")
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let pair = candidate_pairs(&prepared.spray, row_span, 1, &mut rng)[0];
+    let arm = ImplicitSingleSided
+        .arm(sys, pid, pair, &prepared, config, 0)
+        .expect("arm");
+    let armed = arm.armed.expect("single-sided arms every candidate");
+    CompiledTrace::compile(&armed, ImplicitSingleSided.round_ops()).expect("compile")
 }
 
 // ---------------------------------------------------------------------------
@@ -301,69 +298,16 @@ pub struct HammerMicrobench {
     pub wall_ns: u64,
 }
 
-/// Runs the pinned double-sided implicit-hammer microbenchmark: prepare the
-/// attack on the chosen machine, warm up, then hammer `rounds` iterations
+/// Runs the pinned hammer microbenchmark for a [`HammerMode`]: prepares the
+/// attack on the chosen machine, arms the first candidate pair the mode's
+/// strategy accepts, compiles its schedule into a [`CompiledTrace`] (the
+/// hammer phase's executor), warms up, then hammers `rounds` iterations
 /// with perf counters bracketing the loop.
 ///
 /// Superpages are used on the Table I machines so the one-off LLC pool
 /// preparation stays cheap (the measured loop is identical in both
 /// settings); the small test machine builds its pool quickly either way.
 pub fn hammer_microbench(
-    machine: MachineChoice,
-    scale: ExperimentScale,
-    rounds: u64,
-    seed: u64,
-) -> HammerMicrobench {
-    let superpages = machine != MachineChoice::TestSmall;
-    let mut sys = boot(
-        machine,
-        scale,
-        superpages,
-        Box::new(DefaultPolicy::new()),
-        seed,
-    );
-    let clock_hz = sys.machine().clock_hz();
-    let pid = sys.spawn_process(1000).expect("spawn");
-    let config = scale.attack_config(seed, superpages);
-    let attack = PtHammer::new(config.clone()).expect("config");
-    let prepared = attack.prepare(&mut sys, pid).expect("prepare");
-    let row_span = sys.machine().config().dram.geometry.row_span_bytes();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let pair = candidate_pairs(&prepared.spray, row_span, 1, &mut rng)[0];
-    let hammer = ImplicitHammer::prepare(
-        &mut sys,
-        pid,
-        pair,
-        &prepared.tlb_pool,
-        &prepared.llc_pool,
-        config.llc_profile_trials,
-    )
-    .expect("hammer prepare");
-    hammer.hammer(&mut sys, pid, 10).expect("warm up");
-
-    let before = MachineCounters::capture(sys.machine());
-    let watch = Stopwatch::start();
-    let stats = hammer.hammer(&mut sys, pid, rounds).expect("hammer");
-    let wall_ns = watch.elapsed_ns();
-    let counters = MachineCounters::capture(sys.machine()).since(&before);
-    HammerMicrobench {
-        accounting: HammerAccounting::new(stats.rounds, stats.total_cycles, clock_hz),
-        counters,
-        implicit_dram_rate: (stats.low_dram_rate() + stats.high_dram_rate()) / 2.0,
-        wall_ns,
-    }
-}
-
-/// Runs the pinned hammer microbenchmark for an arbitrary [`HammerMode`]:
-/// prepares the attack, arms the first candidate pair the strategy accepts,
-/// then drives the strategy's exact per-round op pattern `rounds` times with
-/// perf counters bracketing the loop.
-///
-/// The default-mode variant [`hammer_microbench`] is kept separate (and
-/// byte-identical to its historical behavior) because `BENCH_perf.json`
-/// pins its counters; this function backs the per-mode perf workloads and
-/// the `repro_table1 --measured` mode table.
-pub fn hammer_mode_microbench(
     machine: MachineChoice,
     scale: ExperimentScale,
     mode: HammerMode,
@@ -401,25 +345,18 @@ pub fn hammer_mode_microbench(
         }
     }
     let armed = armed.unwrap_or_else(|| panic!("no armable candidate pair for {mode:?}"));
-    let ops = strategy.round_ops();
-    for _ in 0..10 {
-        armed.hammer_round(&mut sys, pid, ops).expect("warm up");
-    }
+    let trace = CompiledTrace::compile(&armed, strategy.round_ops()).expect("compile");
+    trace.hammer(&mut sys, pid, 10).expect("warm up");
 
     let before = MachineCounters::capture(sys.machine());
     let watch = Stopwatch::start();
-    let mut total_cycles = 0u64;
-    let mut dram_hits = 0u64;
-    for _ in 0..rounds {
-        let round = armed.hammer_round(&mut sys, pid, ops).expect("round");
-        total_cycles += round.cycles;
-        dram_hits += u64::from(round.low_dram) + u64::from(round.high_dram);
-    }
+    let stats = trace.hammer(&mut sys, pid, rounds).expect("hammer");
     let wall_ns = watch.elapsed_ns();
     let counters = MachineCounters::capture(sys.machine()).since(&before);
     let implicit_touches = strategy.implicit_touches_per_round() * rounds;
+    let dram_hits = stats.low_dram_hits + stats.high_dram_hits + stats.aggressor_dram_hits;
     HammerMicrobench {
-        accounting: HammerAccounting::new(rounds, total_cycles, clock_hz),
+        accounting: HammerAccounting::new(stats.rounds, stats.total_cycles, clock_hz),
         counters,
         implicit_dram_rate: if implicit_touches == 0 {
             0.0
@@ -428,97 +365,6 @@ pub fn hammer_mode_microbench(
         },
         wall_ns,
     }
-}
-
-/// Runs the pinned hammer microbenchmark through the compiled-trace replay
-/// path: boots and arms exactly like [`hammer_mode_microbench`] with the
-/// default strategy, compiles the schedule into a [`CompiledTrace`] with the
-/// requested profile, then replays it `rounds` times with perf counters
-/// bracketing the loop. Returns the measurement and the LLC traversal pass
-/// count the trace was compiled to.
-///
-/// With [`TraceProfile::Exact`] this measures the production hammer path
-/// (what `phase_hammer` runs per attempt); with [`TraceProfile::Calibrated`]
-/// it additionally models the attacker minimising eviction work — the
-/// compiler probes the fewest LLC passes that keep every implicit touch
-/// DRAM-served before the measured loop starts.
-pub fn hammer_compiled_microbench(
-    machine: MachineChoice,
-    scale: ExperimentScale,
-    profile: TraceProfile,
-    rounds: u64,
-    seed: u64,
-) -> (HammerMicrobench, usize) {
-    let superpages = machine != MachineChoice::TestSmall;
-    let mut sys = boot(
-        machine,
-        scale,
-        superpages,
-        Box::new(DefaultPolicy::new()),
-        seed,
-    );
-    let clock_hz = sys.machine().clock_hz();
-    let pid = sys.spawn_process(1000).expect("spawn");
-    let config = scale.attack_config(seed, superpages);
-    let attack = PtHammer::new(config.clone()).expect("config");
-    let prepared = attack.prepare(&mut sys, pid).expect("prepare");
-    let row_span = sys.machine().config().dram.geometry.row_span_bytes();
-    let threshold = conflict_threshold(&sys);
-    let strategy = HammerMode::default().strategy();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut armed = None;
-    'search: for _ in 0..16 {
-        for pair in candidate_pairs(&prepared.spray, row_span, 4, &mut rng) {
-            let arm = strategy
-                .arm(&mut sys, pid, pair, &prepared, &config, threshold)
-                .expect("arm");
-            if let Some(a) = arm.armed {
-                armed = Some(a);
-                break 'search;
-            }
-        }
-    }
-    let armed = armed.expect("no armable candidate pair for the default mode");
-    let ops = strategy.round_ops();
-    let mut trace = match profile {
-        TraceProfile::Exact => CompiledTrace::compile(&armed, ops, &sys).expect("compile"),
-        TraceProfile::Calibrated => {
-            CompiledTrace::compile_calibrated(&armed, ops, &mut sys, pid, 10).expect("calibrate")
-        }
-    };
-    for _ in 0..10 {
-        if trace.is_stale(&sys) {
-            trace = trace.recompile(&armed, ops, &sys).expect("recompile");
-        }
-        trace.replay(&mut sys, pid).expect("warm up");
-    }
-
-    let before = MachineCounters::capture(sys.machine());
-    let watch = Stopwatch::start();
-    let mut total_cycles = 0u64;
-    let mut dram_hits = 0u64;
-    for _ in 0..rounds {
-        if trace.is_stale(&sys) {
-            trace = trace.recompile(&armed, ops, &sys).expect("recompile");
-        }
-        let round = trace.replay(&mut sys, pid).expect("round");
-        total_cycles += round.cycles;
-        dram_hits += u64::from(round.low_dram) + u64::from(round.high_dram);
-    }
-    let wall_ns = watch.elapsed_ns();
-    let counters = MachineCounters::capture(sys.machine()).since(&before);
-    let implicit_touches = strategy.implicit_touches_per_round() * rounds;
-    let bench = HammerMicrobench {
-        accounting: HammerAccounting::new(rounds, total_cycles, clock_hz),
-        counters,
-        implicit_dram_rate: if implicit_touches == 0 {
-            0.0
-        } else {
-            dram_hits as f64 / implicit_touches as f64
-        },
-        wall_ns,
-    };
-    (bench, trace.llc_eviction_passes())
 }
 
 // ---------------------------------------------------------------------------
@@ -900,33 +746,10 @@ pub fn anvil_eval(machine: MachineChoice, scale: ExperimentScale, seed: u64) -> 
     let implicit_rates = {
         let mut sys = boot(machine, scale, true, Box::new(DefaultPolicy::new()), seed);
         let pid = sys.spawn_process(1000).expect("spawn");
-        let config = scale.attack_config(seed, true);
-        let tlb_pool = {
-            let pages = PtHammer::tlb_eviction_pages(&sys);
-            TlbEvictionPool::build(&mut sys, pid, &config, pages)
-        }
-        .expect("TLB pool");
-        let llc_pool = {
-            let lines = PtHammer::llc_eviction_lines(&sys);
-            LlcEvictionPool::build(&mut sys, pid, &config, lines)
-        }
-        .expect("LLC pool");
-        let spray = spray_page_tables(&mut sys, pid, &config).expect("spray");
-        let row_span = sys.machine().config().dram.geometry.row_span_bytes();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let pair = candidate_pairs(&spray, row_span, 1, &mut rng)[0];
-        let hammer = ImplicitHammer::prepare(
-            &mut sys,
-            pid,
-            pair,
-            &tlb_pool,
-            &llc_pool,
-            config.llc_profile_trials,
-        )
-        .expect("prepare");
+        let trace = first_pair_trace(&mut sys, pid, &scale.attack_config(seed, true));
         let start_cycles = sys.rdtsc();
         let start = sys.machine().dram_stats().accesses;
-        let stats = hammer.hammer(&mut sys, pid, 2_000).expect("hammer");
+        let stats = trace.hammer(&mut sys, pid, 2_000).expect("hammer");
         let window = sys.rdtsc() - start_cycles;
         let dram_accesses = sys.machine().dram_stats().accesses - start;
         // The aggressor-row activations are the implicit L1PTE loads; the

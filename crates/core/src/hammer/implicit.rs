@@ -6,6 +6,9 @@
 //! load — an access to kernel memory that the attacker never had permission
 //! to perform, served directly from the DRAM row the attacker wants to
 //! activate.
+//!
+//! [`ImplicitHammer`] holds the per-pair eviction state; the iteration itself
+//! runs as a [`crate::trace::CompiledTrace`] of the strategy's schedule.
 
 use serde::{Deserialize, Serialize};
 
@@ -115,67 +118,6 @@ impl ImplicitHammer {
     pub fn selection_cycles(&self) -> u64 {
         self.llc_low.selection_cycles + self.llc_high.selection_cycles
     }
-
-    /// Performs one double-sided hammering iteration. Returns the iteration's
-    /// cycle cost and whether each target's L1PTE load reached DRAM.
-    pub fn hammer_round(
-        &self,
-        sys: &mut System,
-        pid: Pid,
-    ) -> Result<(u64, bool, bool), AttackError> {
-        let start = sys.rdtsc();
-        // Evict both targets' TLB entries and L1PTE cache lines.
-        self.tlb_low.evict(sys, pid)?;
-        self.tlb_high.evict(sys, pid)?;
-        self.llc_low.evict(sys, pid)?;
-        self.llc_high.evict(sys, pid)?;
-        // Touch the targets: the walks implicitly access the aggressor rows.
-        let low = sys.touch(pid, self.pair.low)?;
-        let high = sys.touch(pid, self.pair.high)?;
-        Ok((
-            sys.rdtsc() - start,
-            low.l1pte_from_dram,
-            high.l1pte_from_dram,
-        ))
-    }
-
-    /// Hammers for `rounds` iterations, accumulating statistics.
-    pub fn hammer(
-        &self,
-        sys: &mut System,
-        pid: Pid,
-        rounds: u64,
-    ) -> Result<HammerStats, AttackError> {
-        let mut stats = HammerStats {
-            min_round_cycles: u64::MAX,
-            ..HammerStats::default()
-        };
-        for _ in 0..rounds {
-            let (cycles, low_dram, high_dram) = self.hammer_round(sys, pid)?;
-            stats.rounds += 1;
-            stats.total_cycles += cycles;
-            stats.min_round_cycles = stats.min_round_cycles.min(cycles);
-            stats.max_round_cycles = stats.max_round_cycles.max(cycles);
-            stats.low_dram_hits += u64::from(low_dram);
-            stats.high_dram_hits += u64::from(high_dram);
-        }
-        if stats.rounds == 0 {
-            stats.min_round_cycles = 0;
-        }
-        Ok(stats)
-    }
-
-    /// Collects per-iteration cycle samples (the Figure 6 measurement).
-    pub fn round_cycle_samples(
-        &self,
-        sys: &mut System,
-        pid: Pid,
-        samples: usize,
-    ) -> Result<Vec<u64>, AttackError> {
-        (0..samples)
-            .map(|_| self.hammer_round(sys, pid).map(|(c, _, _)| c))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -184,8 +126,11 @@ mod tests {
     use crate::config::AttackConfig;
     use crate::eviction::llc::LlcEvictionPool;
     use crate::eviction::tlb::TlbEvictionPool;
-    use crate::pairs::{candidate_pairs, pair_stride};
+    use crate::hammer::strategy::{HammerStrategy, ImplicitSingleSided};
+    use crate::pairs::candidate_pairs;
+    use crate::pipeline::PreparedAttack;
     use crate::spray::spray_page_tables;
+    use crate::trace::CompiledTrace;
     use pthammer_cache::{CacheHierarchyConfig, LlcConfig, ReplacementPolicy};
     use pthammer_dram::FlipModelProfile;
     use pthammer_machine::MachineConfig;
@@ -212,25 +157,43 @@ mod tests {
         (sys, pid)
     }
 
-    #[test]
-    fn hammer_round_reaches_dram_for_both_l1ptes() {
-        let (mut sys, pid) = test_system();
+    /// Prepares the pools and the spray, then arms (without verification)
+    /// the first of `candidates` candidate pairs and compiles the paper's
+    /// double-sided iteration for it.
+    fn first_pair_trace(
+        sys: &mut System,
+        pid: Pid,
+        seed: u64,
+        candidates: usize,
+    ) -> (u64, CompiledTrace) {
         let config = AttackConfig {
             spray_bytes: 512 << 20,
             llc_profile_trials: 6,
-            ..AttackConfig::quick_test(3, false)
+            ..AttackConfig::quick_test(seed, false)
         };
-        let tlb_pool = TlbEvictionPool::build(&mut sys, pid, &config, 12).unwrap();
-        let llc_pool = LlcEvictionPool::build(&mut sys, pid, &config, 9).unwrap();
-        let spray = spray_page_tables(&mut sys, pid, &config).unwrap();
+        let prepared = PreparedAttack {
+            tlb_pool: TlbEvictionPool::build(sys, pid, &config, 12).unwrap(),
+            llc_pool: LlcEvictionPool::build(sys, pid, &config, 9).unwrap(),
+            spray: spray_page_tables(sys, pid, &config).unwrap(),
+        };
         let row_span = sys.machine().config().dram.geometry.row_span_bytes();
-        let mut rng = StdRng::seed_from_u64(3);
-        let pairs = candidate_pairs(&spray, row_span, 4, &mut rng);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pairs = candidate_pairs(&prepared.spray, row_span, candidates, &mut rng);
         assert!(!pairs.is_empty());
-        let hammer =
-            ImplicitHammer::prepare(&mut sys, pid, pairs[0], &tlb_pool, &llc_pool, 6).unwrap();
+        let arm = ImplicitSingleSided
+            .arm(sys, pid, pairs[0], &prepared, &config, 0)
+            .unwrap();
+        let armed = arm.armed.expect("single-sided arms every candidate");
+        let trace = CompiledTrace::compile(&armed, ImplicitSingleSided.round_ops()).unwrap();
+        (arm.llc_selection_cycles, trace)
+    }
 
-        let stats = hammer.hammer(&mut sys, pid, 40).unwrap();
+    #[test]
+    fn implicit_rounds_reach_dram_for_both_l1ptes() {
+        let (mut sys, pid) = test_system();
+        let (selection_cycles, trace) = first_pair_trace(&mut sys, pid, 3, 4);
+
+        let stats = trace.hammer(&mut sys, pid, 40).unwrap();
         assert_eq!(stats.rounds, 40);
         assert!(
             stats.low_dram_rate() > 0.8,
@@ -248,28 +211,18 @@ mod tests {
         assert!(avg > 200.0, "avg {avg}");
         assert!(avg < 3_500.0, "avg {avg}");
         assert!(stats.min_round_cycles <= stats.max_round_cycles);
-        assert!(hammer.selection_cycles() > 0);
-        let _ = pair_stride(row_span);
+        assert!(selection_cycles > 0);
     }
 
     #[test]
-    fn round_cycle_samples_have_low_variance_after_warmup() {
+    fn per_round_cycles_have_low_variance_after_warmup() {
         let (mut sys, pid) = test_system();
-        let config = AttackConfig {
-            spray_bytes: 512 << 20,
-            llc_profile_trials: 6,
-            ..AttackConfig::quick_test(5, false)
-        };
-        let tlb_pool = TlbEvictionPool::build(&mut sys, pid, &config, 12).unwrap();
-        let llc_pool = LlcEvictionPool::build(&mut sys, pid, &config, 9).unwrap();
-        let spray = spray_page_tables(&mut sys, pid, &config).unwrap();
-        let row_span = sys.machine().config().dram.geometry.row_span_bytes();
-        let mut rng = StdRng::seed_from_u64(5);
-        let pair = candidate_pairs(&spray, row_span, 1, &mut rng)[0];
-        let hammer = ImplicitHammer::prepare(&mut sys, pid, pair, &tlb_pool, &llc_pool, 6).unwrap();
+        let (_, trace) = first_pair_trace(&mut sys, pid, 5, 1);
         // Warm up, then sample (mirrors the 50-round measurement of Fig. 6).
-        hammer.hammer(&mut sys, pid, 10).unwrap();
-        let samples = hammer.round_cycle_samples(&mut sys, pid, 50).unwrap();
+        trace.hammer(&mut sys, pid, 10).unwrap();
+        let samples: Vec<u64> = (0..50)
+            .map(|_| trace.replay(&mut sys, pid).unwrap().cycles)
+            .collect();
         assert_eq!(samples.len(), 50);
         let min = *samples.iter().min().unwrap();
         let max = *samples.iter().max().unwrap();

@@ -19,13 +19,13 @@ use rand::SeedableRng;
 
 use pthammer_kernel::{Pid, System};
 
+use crate::attack::PtHammer;
 use crate::config::AttackConfig;
 use crate::detect::scan_for_corrupted_mappings;
 use crate::error::AttackError;
 use crate::events::{AttackEvent, AttackPhase, EventBus, EventSink, PipelineAccounting};
 use crate::eviction::llc::LlcEvictionPool;
 use crate::eviction::tlb::TlbEvictionPool;
-use crate::hammer::implicit::HammerStats;
 use crate::hammer::strategy::{ArmedPair, HammerStrategy};
 use crate::pairs::{candidate_pairs, conflict_threshold};
 use crate::report::{AttackOutcome, PageSetting};
@@ -45,27 +45,14 @@ pub struct PreparedAttack {
     pub spray: crate::spray::SprayRegion,
 }
 
-/// Number of pages in the TLB eviction sets the attack uses: the paper's
-/// 12 on the Table I machines (`L1 ways + 2 × L2 ways`).
-pub fn tlb_eviction_pages(sys: &System) -> usize {
-    let mmu = &sys.machine().config().mmu;
-    (mmu.l1_dtlb.ways + 2 * mmu.l2_stlb.ways) as usize
-}
-
-/// Number of lines in the LLC eviction sets: one more than the LLC
-/// associativity (13 on the Lenovo machines, 17 on the Dell).
-pub fn llc_eviction_lines(sys: &System) -> usize {
-    sys.machine().config().cache.llc.ways as usize + 1
-}
-
 /// Runs the one-off preparation: TLB pool, LLC pool and the spray.
 pub fn prepare_attack(
     sys: &mut System,
     pid: Pid,
     config: &AttackConfig,
 ) -> Result<PreparedAttack, AttackError> {
-    let tlb_pool = TlbEvictionPool::build(sys, pid, config, tlb_eviction_pages(sys))?;
-    let llc_pool = LlcEvictionPool::build(sys, pid, config, llc_eviction_lines(sys))?;
+    let tlb_pool = TlbEvictionPool::build(sys, pid, config, PtHammer::tlb_eviction_pages(sys))?;
+    let llc_pool = LlcEvictionPool::build(sys, pid, config, PtHammer::llc_eviction_lines(sys))?;
     let spray = spray_page_tables(sys, pid, config)?;
     Ok(PreparedAttack {
         tlb_pool,
@@ -371,14 +358,8 @@ impl<'a, 'b> AttackPipeline<'a, 'b> {
     }
 
     /// `Hammer`: the strategy's per-round op pattern compiled once into a
-    /// [`CompiledTrace`] and replayed `hammer_rounds_per_attempt` times,
+    /// [`CompiledTrace`] and hammered `hammer_rounds_per_attempt` times,
     /// plus the Figure 6 cycle samples while fewer than 50 were taken.
-    ///
-    /// The exact-profile trace replays the interpreter's operation stream
-    /// call for call, so this path simulates byte-identically to the
-    /// historical per-round interpretation. A handled demand fault (kernel
-    /// page-table allocation mid-attempt) invalidates the trace; the cheap
-    /// per-round staleness check recompiles it before the next replay.
     fn phase_hammer(
         &mut self,
         ctx: &mut AttackCtx,
@@ -386,30 +367,11 @@ impl<'a, 'b> AttackPipeline<'a, 'b> {
         armed: &ArmedPair,
     ) -> Result<(), AttackError> {
         self.enter(ctx, sys, AttackPhase::Hammer);
-        // The trace owns its resolved schedule, so (unlike the old
-        // `round_ops().to_vec()` copy) emitting events below can borrow the
-        // pipeline mutably without holding a borrow of the strategy.
-        let mut trace = CompiledTrace::compile(armed, self.strategy.round_ops(), sys)?;
-        let mut stats = HammerStats {
-            min_round_cycles: u64::MAX,
-            ..HammerStats::default()
-        };
-        for _ in 0..self.config.hammer_rounds_per_attempt {
-            if trace.is_stale(sys) {
-                trace = CompiledTrace::compile(armed, self.strategy.round_ops(), sys)?;
-            }
-            let round = trace.replay(sys, ctx.pid)?;
-            stats.rounds += 1;
-            stats.total_cycles += round.cycles;
-            stats.min_round_cycles = stats.min_round_cycles.min(round.cycles);
-            stats.max_round_cycles = stats.max_round_cycles.max(round.cycles);
-            stats.low_dram_hits += u64::from(round.low_dram);
-            stats.high_dram_hits += u64::from(round.high_dram);
-            stats.aggressor_dram_hits += round.aggressor_dram_hits;
-        }
-        if stats.rounds == 0 {
-            stats.min_round_cycles = 0;
-        }
+        // The trace owns its resolved schedule, so emitting events below can
+        // borrow the pipeline mutably without holding a borrow of the
+        // strategy.
+        let trace = CompiledTrace::compile(armed, self.strategy.round_ops())?;
+        let stats = trace.hammer(sys, ctx.pid, self.config.hammer_rounds_per_attempt)?;
         self.emit(
             ctx,
             AttackEvent::HammerFinished {
@@ -419,9 +381,6 @@ impl<'a, 'b> AttackPipeline<'a, 'b> {
         );
         if ctx.hammer_cycle_samples.len() < 50 {
             for _ in 0..10 {
-                if trace.is_stale(sys) {
-                    trace = CompiledTrace::compile(armed, self.strategy.round_ops(), sys)?;
-                }
                 let round = trace.replay(sys, ctx.pid)?;
                 ctx.hammer_cycle_samples.push(round.cycles);
             }

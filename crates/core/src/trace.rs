@@ -1,59 +1,27 @@
-//! Per-attempt compiled hammer traces.
+//! Per-attempt compiled hammer traces — the one hammer executor.
 //!
-//! The [`RoundOp`] interpreter ([`ArmedPair::hammer_round`]) re-resolves
-//! every operation's targets each round: a match per op, a `Result`-returning
-//! eviction-set lookup, and a virtual dispatch into the eviction-set
-//! traversal helpers. None of that resolution can change while a pair stays
-//! armed — the eviction sets and aggressor addresses are fixed for the whole
-//! attempt — so the hammer phase compiles the schedule **once per attempt**
-//! into a [`CompiledTrace`]: a flat, pre-translated address pool plus a dense
-//! step list that replays through the same lean batch paths
+//! A strategy declares its hammer iteration as a [`RoundOp`] schedule. None
+//! of the schedule's target resolution can change while a pair stays armed —
+//! the eviction sets and aggressor addresses are fixed for the whole attempt
+//! — so the schedule is compiled **once per attempt** into a
+//! [`CompiledTrace`]: a flat address pool plus a dense step list that
+//! [`CompiledTrace::hammer`] replays through the lean batch paths
 //! ([`System::access_batch_passes`] / [`System::touch`]) with no per-round
-//! matching, re-lookup, or allocation.
+//! matching, re-lookup or allocation.
 //!
-//! # Compile / invalidate lifecycle
-//!
-//! A trace is compiled from an [`ArmedPair`] and its strategy's
-//! [`RoundOp`] schedule right after pair selection. The only simulated state
-//! a compiled trace can go stale against is the kernel's page-table
-//! population: a demand fault handled mid-attempt allocates page tables and
-//! changes which physical lines back the sprayed mappings. The trace
-//! therefore records the kernel's `faults_handled` counter at compile time;
-//! [`CompiledTrace::is_stale`] is a single integer compare per round, and
-//! the hammer phase recompiles only when it trips. For the
-//! [`TraceProfile::Exact`] profile recompilation is pure (it reads the armed
-//! state, never the machine), so invalidation cannot perturb the simulation.
-//!
-//! # Profiles
-//!
-//! * [`TraceProfile::Exact`] — the default. Each `EvictLlc` op keeps the
-//!   interpreter's [`LLC_EVICTION_PASSES`]-pass traversal, so replay is
-//!   call-for-call identical to the interpreter: same batch boundaries, same
-//!   fault handling order, same simulated cycles. The golden campaign
-//!   snapshots (which pin simulated seconds-to-first-flip) rest on this.
-//! * [`TraceProfile::Calibrated`] — an attacker-side optimisation for the
-//!   perf workloads: the compiler probes how few LLC traversal passes still
-//!   force every implicit touch's L1PTE load to DRAM and emits the minimal
-//!   trace. This models the paper's attacker minimising eviction work per
-//!   iteration; probing advances the simulation, so campaigns never use it.
+//! A trace holds only virtual addresses resolved from the [`ArmedPair`], and
+//! every replay translates them afresh through the MMU. A demand fault
+//! handled mid-attempt therefore changes what the replayed accesses walk,
+//! never what the trace holds: a trace compiled once stays valid for the
+//! whole attempt.
 
 use pthammer_kernel::{Pid, System};
 use pthammer_types::VirtAddr;
 
 use crate::error::AttackError;
 use crate::eviction::llc::LLC_EVICTION_PASSES;
+use crate::hammer::implicit::HammerStats;
 use crate::hammer::strategy::{ArmedPair, RoundOp, RoundOutcome, Target};
-
-/// How a [`CompiledTrace`] resolves the LLC eviction traversals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceProfile {
-    /// Replay exactly the interpreter's operation stream (the default; the
-    /// golden snapshots pin this path's simulated timing).
-    Exact,
-    /// Probe the minimal LLC pass count that keeps the implicit loads
-    /// DRAM-served and emit the dense minimal trace.
-    Calibrated,
-}
 
 /// Which pair member an implicit touch reports its DRAM outcome as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,8 +36,8 @@ enum TouchKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TraceStep {
     /// A pipelined batch over `addrs[start..start + len]`, `passes` times —
-    /// one step per eviction op, preserving the interpreter's batch-call
-    /// boundaries (and therefore its fault-handling order).
+    /// one step per eviction op, so batch-call boundaries (and therefore
+    /// fault-handling order) follow the op schedule.
     Batch { start: u32, len: u32, passes: u32 },
     /// An implicit (page-walk) touch of a pre-resolved target address.
     Touch { addr: VirtAddr, kind: TouchKind },
@@ -81,43 +49,24 @@ enum TraceStep {
 
 /// A strategy's per-round schedule with every target resolved to flat,
 /// pre-translated addresses. Built once per attempt by
-/// [`CompiledTrace::compile`] (or
-/// [`CompiledTrace::compile_calibrated`]) and replayed by the hammer phase.
+/// [`CompiledTrace::compile`] and run by [`CompiledTrace::hammer`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledTrace {
     /// Flat pool of eviction-run addresses, in op order.
     addrs: Vec<VirtAddr>,
     /// Dense replay program over `addrs`.
     steps: Vec<TraceStep>,
-    /// Kernel `faults_handled` at compile time — the invalidation signal.
-    faults_handled_at_compile: u64,
-    /// LLC traversal passes each `EvictLlc` op was compiled to.
-    llc_passes: usize,
-    /// Which profile compiled this trace.
-    profile: TraceProfile,
 }
 
 impl CompiledTrace {
-    /// Compiles `ops` against `armed` with the exact interpreter semantics
-    /// ([`TraceProfile::Exact`]). Pure with respect to the simulation: only
-    /// the armed state and the kernel's fault counter are read.
+    /// Compiles `ops` against `armed`. TLB eviction ops traverse their set
+    /// once, LLC eviction ops [`LLC_EVICTION_PASSES`] times. Pure: only the
+    /// armed state is read.
     ///
     /// # Errors
     ///
-    /// Fails like the interpreter would on its first round: when an op
-    /// addresses a target the strategy never armed.
-    pub fn compile(armed: &ArmedPair, ops: &[RoundOp], sys: &System) -> Result<Self, AttackError> {
-        Self::compile_with_passes(armed, ops, sys.stats().faults_handled, LLC_EVICTION_PASSES)
-    }
-
-    /// Compiles `ops` with every `EvictLlc` op resolved to `llc_passes`
-    /// traversal passes.
-    fn compile_with_passes(
-        armed: &ArmedPair,
-        ops: &[RoundOp],
-        faults_handled: u64,
-        llc_passes: usize,
-    ) -> Result<Self, AttackError> {
+    /// Fails when an op addresses a target the strategy never armed.
+    pub fn compile(armed: &ArmedPair, ops: &[RoundOp]) -> Result<Self, AttackError> {
         let mut addrs = Vec::new();
         let mut steps = Vec::with_capacity(ops.len());
         let run = |addrs: &mut Vec<VirtAddr>, lines: &[VirtAddr], passes: usize| {
@@ -137,7 +86,7 @@ impl CompiledTrace {
                 }
                 RoundOp::EvictLlc(t) => {
                     let (_, llc) = armed.sets_for(*t)?;
-                    run(&mut addrs, &llc.lines, llc_passes)
+                    run(&mut addrs, &llc.lines, LLC_EVICTION_PASSES)
                 }
                 RoundOp::TouchImplicit(t) => TraceStep::Touch {
                     addr: armed.addr(*t)?,
@@ -155,103 +104,7 @@ impl CompiledTrace {
                 },
             });
         }
-        Ok(Self {
-            addrs,
-            steps,
-            faults_handled_at_compile: faults_handled,
-            llc_passes,
-            profile: TraceProfile::Exact,
-        })
-    }
-
-    /// Compiles `ops` with the minimal LLC traversal pass count that still
-    /// forces every implicit touch's L1PTE load to DRAM
-    /// ([`TraceProfile::Calibrated`]).
-    ///
-    /// For each candidate pass count (fewest first) the compiler replays
-    /// `probe_rounds` probe iterations and accepts the first count whose
-    /// every probe keeps all implicit loads DRAM-served; if none does, it
-    /// falls back to the interpreter's [`LLC_EVICTION_PASSES`]. Probing runs
-    /// real simulated rounds — this profile is for throughput measurement,
-    /// not for golden-pinned campaigns.
-    ///
-    /// # Errors
-    ///
-    /// Fails when an op addresses a target the strategy never armed, or a
-    /// probe replay faults unrecoverably.
-    pub fn compile_calibrated(
-        armed: &ArmedPair,
-        ops: &[RoundOp],
-        sys: &mut System,
-        pid: Pid,
-        probe_rounds: u32,
-    ) -> Result<Self, AttackError> {
-        let touches = ops
-            .iter()
-            .filter(|op| matches!(op, RoundOp::TouchImplicit(_)))
-            .count();
-        let wants_low = ops.contains(&RoundOp::TouchImplicit(Target::Low));
-        let wants_high = ops.contains(&RoundOp::TouchImplicit(Target::High));
-        let aggressor_touches = (touches - usize::from(wants_low) - usize::from(wants_high)) as u64;
-        let mut chosen = None;
-        for passes in 1..LLC_EVICTION_PASSES {
-            let probe = Self::compile_with_passes(armed, ops, sys.stats().faults_handled, passes)?;
-            let mut all_dram = touches > 0;
-            for _ in 0..probe_rounds {
-                let round = probe.replay(sys, pid)?;
-                all_dram &= (!wants_low || round.low_dram)
-                    && (!wants_high || round.high_dram)
-                    && round.aggressor_dram_hits == aggressor_touches;
-            }
-            if all_dram {
-                chosen = Some(passes);
-                break;
-            }
-        }
-        let passes = chosen.unwrap_or(LLC_EVICTION_PASSES);
-        let mut trace = Self::compile_with_passes(armed, ops, sys.stats().faults_handled, passes)?;
-        trace.profile = TraceProfile::Calibrated;
-        Ok(trace)
-    }
-
-    /// Recompiles the same schedule against the kernel's current page-table
-    /// state, keeping this trace's LLC pass count and profile. This is how a
-    /// stale *calibrated* trace is refreshed without re-probing (the minimal
-    /// pass count is a property of the eviction sets, which a page-table
-    /// allocation does not change).
-    ///
-    /// # Errors
-    ///
-    /// Fails when an op addresses a target the strategy never armed.
-    pub fn recompile(
-        &self,
-        armed: &ArmedPair,
-        ops: &[RoundOp],
-        sys: &System,
-    ) -> Result<Self, AttackError> {
-        let mut trace =
-            Self::compile_with_passes(armed, ops, sys.stats().faults_handled, self.llc_passes)?;
-        trace.profile = self.profile;
-        Ok(trace)
-    }
-
-    /// True when the kernel's page-table state changed since compile time
-    /// (a demand fault was handled) and the trace should be recompiled. One
-    /// integer compare — cheap enough for a per-round check.
-    pub fn is_stale(&self, sys: &System) -> bool {
-        sys.stats().faults_handled != self.faults_handled_at_compile
-    }
-
-    /// The profile this trace was compiled with.
-    pub fn profile(&self) -> TraceProfile {
-        self.profile
-    }
-
-    /// LLC traversal passes each eviction op replays (the interpreter's
-    /// [`LLC_EVICTION_PASSES`] for exact traces, possibly fewer for
-    /// calibrated ones).
-    pub fn llc_eviction_passes(&self) -> usize {
-        self.llc_passes
+        Ok(Self { addrs, steps })
     }
 
     /// Replay steps per round.
@@ -264,21 +117,13 @@ impl CompiledTrace {
         self.steps.is_empty()
     }
 
-    /// Pre-resolved addresses the per-round eviction runs stream through.
-    pub fn eviction_addrs(&self) -> usize {
-        self.addrs.len()
-    }
-
-    /// Executes one hammer iteration by replaying the dense trace. For
-    /// [`TraceProfile::Exact`] traces this performs exactly the operation
-    /// sequence of [`ArmedPair::hammer_round`] — same batch calls, same
-    /// touches, same simulated cycles — without the per-op matching and
-    /// target re-resolution.
+    /// Executes one hammer iteration: the schedule's operations in order,
+    /// reporting the iteration's cycle cost and which implicit loads reached
+    /// DRAM.
     ///
     /// # Errors
     ///
-    /// Propagates unrecoverable faults from the underlying accesses, exactly
-    /// as the interpreter does.
+    /// Propagates unrecoverable faults from the underlying accesses.
     pub fn replay(&self, sys: &mut System, pid: Pid) -> Result<RoundOutcome, AttackError> {
         let start = sys.rdtsc();
         let mut low_dram = false;
@@ -314,5 +159,36 @@ impl CompiledTrace {
             high_dram,
             aggressor_dram_hits,
         })
+    }
+
+    /// Hammers for `rounds` iterations, accumulating statistics.
+    ///
+    /// # Errors
+    ///
+    /// Propagates unrecoverable faults from the underlying accesses.
+    pub fn hammer(
+        &self,
+        sys: &mut System,
+        pid: Pid,
+        rounds: u64,
+    ) -> Result<HammerStats, AttackError> {
+        let mut stats = HammerStats {
+            min_round_cycles: u64::MAX,
+            ..HammerStats::default()
+        };
+        for _ in 0..rounds {
+            let round = self.replay(sys, pid)?;
+            stats.rounds += 1;
+            stats.total_cycles += round.cycles;
+            stats.min_round_cycles = stats.min_round_cycles.min(round.cycles);
+            stats.max_round_cycles = stats.max_round_cycles.max(round.cycles);
+            stats.low_dram_hits += u64::from(round.low_dram);
+            stats.high_dram_hits += u64::from(round.high_dram);
+            stats.aggressor_dram_hits += round.aggressor_dram_hits;
+        }
+        if stats.rounds == 0 {
+            stats.min_round_cycles = 0;
+        }
+        Ok(stats)
     }
 }

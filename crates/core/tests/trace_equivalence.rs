@@ -1,13 +1,16 @@
-//! Property tests pinning the compiled-trace hot path to the reference
+//! Tests pinning the compiled-trace hammer executor to the reference
 //! semantics: replaying a [`CompiledTrace`] must produce event- and
 //! counter-identical simulation to interpreting the same `RoundOp` schedule
-//! through [`ArmedPair::hammer_round`], across randomized strategies,
-//! schedules and spray states.
+//! op by op (the `support` oracle), across randomized strategies, schedules
+//! and spray states — and across demand faults handled between rounds,
+//! without ever recompiling the trace.
 //!
 //! The twin-system idiom mirrors `pthammer-cache`'s `batch_equivalence`
 //! tests: two systems booted and armed identically (the whole stack is
 //! deterministic in the seed), one driven by the interpreter and one by the
 //! compiled replay, compared round by round and on final hardware counters.
+
+mod support;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -17,8 +20,11 @@ use pthammer::hammer::ArmedPair;
 use pthammer::pairs::{candidate_pairs, conflict_threshold};
 use pthammer::{AttackConfig, CompiledTrace, HammerMode, PtHammer, RoundOp};
 use pthammer_dram::FlipModelProfile;
-use pthammer_kernel::{DefaultPolicy, KernelConfig, Pid, System};
+use pthammer_kernel::{DefaultPolicy, KernelConfig, MmapOptions, Pid, System};
 use pthammer_machine::MachineConfig;
+use pthammer_types::PAGE_SIZE;
+
+use support::interpret_round;
 
 /// Boots a TestSmall system, prepares the attack and arms the first
 /// armable candidate pair for `mode`. Fully deterministic in `(mode, seed)`,
@@ -106,18 +112,70 @@ proptest! {
         }));
 
         for ops in &runs {
-            let trace = CompiledTrace::compile(&armed_c, ops, &compiled)
-                .expect("compile");
+            let trace = CompiledTrace::compile(&armed_c, ops).expect("compile");
             prop_assert_eq!(trace.len(), ops.len());
-            prop_assert!(!trace.is_stale(&compiled));
             for _ in 0..rounds {
-                let reference = armed_i
-                    .hammer_round(&mut interpreted, pid_i, ops)
+                let reference = interpret_round(&armed_i, &mut interpreted, pid_i, ops)
                     .expect("interpret");
                 let replayed = trace.replay(&mut compiled, pid_c).expect("replay");
                 prop_assert_eq!(replayed, reference);
             }
             prop_assert_eq!(counters(&interpreted), counters(&compiled));
         }
+    }
+}
+
+/// A trace compiled once stays exact across demand faults: each twin maps a
+/// fresh, unpopulated area and touches one of its pages between rounds, so
+/// the kernel handles a fault (and allocates page tables) mid-attempt. The
+/// never-recompiled trace must still match the oracle round by round and on
+/// the final counters. Debug builds (where an armed twin costs tens of
+/// seconds) check the default mode; release builds check every mode.
+#[test]
+fn a_trace_compiled_once_stays_exact_across_demand_faults() {
+    const LAZY_PAGES: u64 = 4;
+    let modes = if cfg!(debug_assertions) {
+        vec![HammerMode::default()]
+    } else {
+        HammerMode::all()
+    };
+    for mode in modes {
+        let (mut interpreted, pid_i, armed_i) = armed_system(mode, 2);
+        let (mut compiled, pid_c, armed_c) = armed_system(mode, 2);
+        let ops = mode.strategy().round_ops().to_vec();
+        let trace = CompiledTrace::compile(&armed_c, &ops).expect("compile");
+
+        let lazy_i = interpreted
+            .mmap(pid_i, LAZY_PAGES * PAGE_SIZE, MmapOptions::default())
+            .expect("mmap");
+        let lazy_c = compiled
+            .mmap(pid_c, LAZY_PAGES * PAGE_SIZE, MmapOptions::default())
+            .expect("mmap");
+        assert_eq!(lazy_i, lazy_c);
+        let faults_at_compile = compiled.stats().faults_handled;
+
+        for page in 0..LAZY_PAGES {
+            let reference =
+                interpret_round(&armed_i, &mut interpreted, pid_i, &ops).expect("interpret");
+            let replayed = trace.replay(&mut compiled, pid_c).expect("replay");
+            assert_eq!(replayed, reference, "{mode}: round before fault {page}");
+            interpreted
+                .access(pid_i, lazy_i + page * PAGE_SIZE)
+                .expect("demand fault");
+            compiled
+                .access(pid_c, lazy_c + page * PAGE_SIZE)
+                .expect("demand fault");
+        }
+        let reference =
+            interpret_round(&armed_i, &mut interpreted, pid_i, &ops).expect("interpret");
+        let replayed = trace.replay(&mut compiled, pid_c).expect("replay");
+        assert_eq!(replayed, reference, "{mode}: round after the last fault");
+
+        assert_eq!(
+            compiled.stats().faults_handled,
+            faults_at_compile + LAZY_PAGES,
+            "{mode}: every lazy page was a handled demand fault"
+        );
+        assert_eq!(counters(&interpreted), counters(&compiled), "{mode}");
     }
 }

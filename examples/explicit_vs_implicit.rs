@@ -5,11 +5,10 @@
 //! Run with: `cargo run --release --example explicit_vs_implicit`
 
 use pthammer::{
-    eviction::{LlcEvictionPool, TlbEvictionPool},
+    hammer::strategy::ImplicitSingleSided,
     hammer::{ExplicitHammer, ExplicitHammerConfig, ExplicitMode},
     pairs::candidate_pairs,
-    spray::spray_page_tables,
-    AttackConfig, ImplicitHammer, PtHammer,
+    AttackConfig, CompiledTrace, HammerStrategy, PtHammer,
 };
 use pthammer_defenses::{AnvilDetector, AnvilMode};
 use pthammer_dram::FlipModelProfile;
@@ -47,17 +46,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = AttackConfig {
         spray_bytes: 1 << 30,
         eviction_buffer_factor: 1.25,
+        llc_profile_trials: 6,
         ..AttackConfig::quick_test(5, false)
     };
-    let tlb_pages = PtHammer::tlb_eviction_pages(&sys);
-    let llc_lines = PtHammer::llc_eviction_lines(&sys);
-    let tlb_pool = TlbEvictionPool::build(&mut sys, pid, &config, tlb_pages)?;
-    let llc_pool = LlcEvictionPool::build(&mut sys, pid, &config, llc_lines)?;
-    let spray = spray_page_tables(&mut sys, pid, &config)?;
+    let prepared = PtHammer::new(config.clone())?.prepare(&mut sys, pid)?;
     let row_span = sys.machine().config().dram.geometry.row_span_bytes();
     let mut rng = StdRng::seed_from_u64(5);
-    let pair = candidate_pairs(&spray, row_span, 1, &mut rng)[0];
-    let implicit = ImplicitHammer::prepare(&mut sys, pid, pair, &tlb_pool, &llc_pool, 6)?;
+    let pair = candidate_pairs(&prepared.spray, row_span, 1, &mut rng)[0];
+    // A fixed pair, armed without same-bank verification.
+    let armed = ImplicitSingleSided
+        .arm(&mut sys, pid, pair, &prepared, &config, 0)?
+        .armed
+        .expect("single-sided arms every candidate");
+    let implicit = CompiledTrace::compile(&armed, ImplicitSingleSided.round_ops())?;
     let start_dram = sys.machine().dram_stats().accesses;
     let start = sys.rdtsc();
     let stats = implicit.hammer(&mut sys, pid, 2_000)?;

@@ -10,9 +10,10 @@
 
 use pthammer::{
     detect::scan_for_corrupted_mappings,
-    pairs::{candidate_pairs, conflict_threshold, verify_same_bank},
+    hammer::strategy::ImplicitDoubleSided,
+    pairs::{candidate_pairs, conflict_threshold},
     victim::{ExploitCtx, PteTakeover},
-    AttackConfig, ImplicitHammer, PtHammer, Victim,
+    AttackConfig, CompiledTrace, HammerStrategy, PtHammer, Victim,
 };
 use pthammer_dram::FlipModelProfile;
 use pthammer_kernel::System;
@@ -62,34 +63,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rounds_hammered = 0;
     for attempt in 1..=config.max_attempts {
         let pair = candidate_pairs(&prepared.spray, row_span, 1, &mut rng)[0];
-        let hammer = ImplicitHammer::prepare(
-            &mut sys,
-            pid,
-            pair,
-            &prepared.tlb_pool,
-            &prepared.llc_pool,
-            config.llc_profile_trials,
-        )?;
-        let verification = verify_same_bank(
-            &mut sys,
-            pid,
-            pair,
-            &hammer.tlb_low,
-            &hammer.tlb_high,
-            &hammer.llc_low,
-            &hammer.llc_high,
-            threshold,
-            5,
-        )?;
-        if !verification.same_bank {
+        // Eviction-set selection plus the row-buffer-conflict same-bank
+        // verification of Section III-C.
+        let arm = ImplicitDoubleSided.arm(&mut sys, pid, pair, &prepared, &config, threshold)?;
+        let Some(armed) = arm.armed else {
             println!(
                 "[{attempt:02}] pair {:#x}/{:#x}: not same-bank, skipping",
                 pair.low.as_u64(),
                 pair.high.as_u64()
             );
             continue;
-        }
-        let stats = hammer.hammer(&mut sys, pid, config.hammer_rounds_per_attempt)?;
+        };
+        let trace = CompiledTrace::compile(&armed, ImplicitDoubleSided.round_ops())?;
+        let stats = trace.hammer(&mut sys, pid, config.hammer_rounds_per_attempt)?;
         rounds_hammered += stats.rounds;
         println!(
             "[{attempt:02}] hammered {} rounds, avg {:.0} cycles/round, {:.0}% implicit DRAM hits",
