@@ -9,18 +9,19 @@
 //! repro_victims [--seed N] [--reps N] [--profile-cache DIR]
 //! ```
 //!
-//! With `--profile-cache DIR` the key-recovery flip profile goes through the
-//! content-addressed [`VictimProfileCache`]: the first invocation templates
-//! the machine's weak-cell map and writes through, repeat invocations get
-//! the identical bytes back from disk.
+//! With `--profile-cache DIR` the key-recovery flip profile is memoized in a
+//! content-addressed [`CellStore`] under [`victim_profile_key`]: the first
+//! invocation templates the machine's weak-cell map and writes through,
+//! repeat invocations get the identical bytes back from disk.
 
 use std::process::ExitCode;
 
+use pthammer::victim::KeyRecovery;
 use pthammer::HammerMode;
 use pthammer_bench::MachineChoice;
 use pthammer_harness::{
-    run_cell, CampaignConfig, CellCoord, CellReport, DefenseChoice, ProfileChoice, VictimChoice,
-    VictimProfileCache,
+    run_cell, victim_profile_key, victim_profile_manifest, CampaignConfig, CellCoord, CellReport,
+    CellStore, DefenseChoice, ProfileChoice, VictimChoice,
 };
 
 fn flag_value(name: &str) -> Option<String> {
@@ -79,9 +80,12 @@ fn main() -> ExitCode {
     let machine_cfg = MachineChoice::TestSmall.config(ProfileChoice::Ci.profile(), base_seed);
     match flag_value("--profile-cache") {
         Some(dir) => {
-            let cache = VictimProfileCache::open(&dir).expect("open victim profile cache");
-            let (profile, source) = cache
-                .template_cached(&machine_cfg)
+            let memo = CellStore::open(&dir, &victim_profile_manifest())
+                .expect("open victim profile cache");
+            let (profile, source) = memo
+                .get_or_compute(&victim_profile_key(&machine_cfg), || {
+                    KeyRecovery::template_profile(&machine_cfg)
+                })
                 .expect("cached flip profile");
             println!(
                 "profile cache at {dir}: {source:?} ({} templated targets on {})",
@@ -90,7 +94,6 @@ fn main() -> ExitCode {
             );
         }
         None => {
-            use pthammer::victim::KeyRecovery;
             let profile = KeyRecovery::template_profile(&machine_cfg);
             println!(
                 "key-recovery template: {} targets on {}",

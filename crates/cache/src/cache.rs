@@ -6,7 +6,7 @@
 //! this is the hottest data structure of the whole simulator (every simulated
 //! memory access probes three cache levels).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_types::PhysAddr;
 
@@ -28,7 +28,7 @@ pub struct CacheAccess {
 /// One way of one set: the line tag and its replacement-metadata word,
 /// adjacent in memory so a set scan touches the minimum number of host cache
 /// lines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 struct CacheSlot {
     tag: u64,
     meta: u64,
@@ -75,7 +75,7 @@ impl WaySlot for CacheSlot {
 /// cache.fill(addr);
 /// assert!(cache.access(addr).hit);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SetAssociativeCache {
     sets: u32,
     ways: u32,

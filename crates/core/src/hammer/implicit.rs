@@ -10,7 +10,7 @@
 //! [`ImplicitHammer`] holds the per-pair eviction state; the iteration itself
 //! runs as a [`crate::trace::CompiledTrace`] of the strategy's schedule.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_kernel::{Pid, System};
 
@@ -20,7 +20,7 @@ use crate::eviction::tlb::{TlbEvictionPool, TlbEvictionSet};
 use crate::pairs::HammerPair;
 
 /// A fully prepared double-sided implicit hammer for one pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ImplicitHammer {
     /// The pair being hammered.
     pub pair: HammerPair,
@@ -35,7 +35,7 @@ pub struct ImplicitHammer {
 }
 
 /// Statistics of a hammering run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct HammerStats {
     /// Iterations performed.
     pub rounds: u64,

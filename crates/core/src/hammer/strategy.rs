@@ -28,7 +28,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use serde::ser::JsonWriter;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use pthammer_kernel::{Pid, System};
 use pthammer_types::VirtAddr;
@@ -122,7 +122,11 @@ impl Serialize for HammerMode {
     }
 }
 
-impl Deserialize for HammerMode {}
+impl Deserialize for HammerMode {
+    fn deserialize(v: &Value) -> Result<Self, String> {
+        String::deserialize(v)?.parse()
+    }
+}
 
 /// One member of a hammer pair — or, for many-sided patterns, an indexed
 /// aggressor of the armed aggressor set.

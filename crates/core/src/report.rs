@@ -4,7 +4,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use serde::ser::JsonWriter;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_kernel::DefenseKind;
 
@@ -66,11 +66,9 @@ impl Serialize for PageSetting {
     }
 }
 
-impl Deserialize for PageSetting {}
-
 /// Simulated-cycle timings of the attack stages, mirroring the columns of
 /// Table II in the paper.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct StageTimings {
     /// One-off TLB eviction-pool preparation.
     pub tlb_pool_prep_cycles: u64,
@@ -99,7 +97,7 @@ impl StageTimings {
 }
 
 /// Complete outcome of one PThammer run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AttackOutcome {
     /// Machine the attack ran on.
     pub machine: String,

@@ -41,7 +41,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use serde::ser::JsonWriter;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use pthammer_dram::FlipModel;
 use pthammer_kernel::{Pid, System};
@@ -102,13 +102,6 @@ impl FlipProfile {
     pub fn is_empty(&self) -> bool {
         self.targets.is_empty()
     }
-
-    /// Canonical compact JSON form (the store-cacheable representation).
-    pub fn to_canonical_json(&self) -> String {
-        let mut w = JsonWriter::new(false);
-        self.serialize(&mut w);
-        w.into_string()
-    }
 }
 
 /// The `evaluate` stage's decision about one flip finding.
@@ -132,7 +125,7 @@ impl VictimVerdict {
 /// This replaces the closed `EscalationRoute` enum: victims are open-ended,
 /// so the outcome identifies the victim and mechanism by canonical name
 /// instead of enumerating every possible compromise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct VictimOutcome {
     /// Canonical name of the victim that ran.
     pub victim: &'static str,
@@ -643,13 +636,18 @@ impl Serialize for VictimChoice {
     }
 }
 
-impl Deserialize for VictimChoice {}
+impl Deserialize for VictimChoice {
+    fn deserialize(v: &Value) -> Result<Self, String> {
+        String::deserialize(v)?.parse()
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::detect::classify_captured_page;
     use crate::exploit::tests::{inject_l1pt_capture, sprayed_system};
+    use proptest::prelude::*;
     use pthammer_dram::FlipModelProfile;
     use pthammer_kernel::CRED_MAGIC;
     use pthammer_machine::MachineConfig;
@@ -765,7 +763,12 @@ mod tests {
         let b = KeyRecovery::template_profile(&config);
         assert_eq!(a, b);
         assert!(!a.is_empty(), "ci profile must template targets");
-        assert_eq!(a.to_canonical_json(), b.to_canonical_json());
+        let json = serde_json::to_string(&a).unwrap();
+        assert_eq!(json, serde_json::to_string(&b).unwrap());
+        // The persisted form decodes back to the identical profile.
+        let decoded: FlipProfile = serde_json::decode(&json).unwrap();
+        assert_eq!(decoded, a);
+        assert_eq!(serde_json::to_string(&decoded).unwrap(), json);
         let other =
             KeyRecovery::template_profile(&MachineConfig::test_small(FlipModelProfile::ci(), 24));
         assert_ne!(a, other, "profile must depend on the DRAM seed");
@@ -824,8 +827,42 @@ mod tests {
             assert_eq!(choice.build().name(), choice.name());
         }
         assert!("swage".parse::<VictimChoice>().is_err());
-        let mut w = JsonWriter::new(false);
-        VictimChoice::KeyRecovery.serialize(&mut w);
-        assert_eq!(w.into_string(), "\"key-recovery\"");
+        let json = serde_json::to_string(&VictimChoice::KeyRecovery).unwrap();
+        assert_eq!(json, "\"key-recovery\"");
+        for choice in VictimChoice::all() {
+            let json = serde_json::to_string(&choice).unwrap();
+            assert_eq!(serde_json::decode::<VictimChoice>(&json), Ok(choice));
+        }
+        let err = serde_json::decode::<VictimChoice>("\"swage\"").unwrap_err();
+        assert!(err.contains("swage"), "{err}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn flip_profile_round_trips_through_json(
+            words in prop::collection::vec(any::<u64>(), 0..12),
+            seed in any::<u64>(),
+            victim in prop::sample::select(vec!["key-recovery", "cred-corruption", "a\"b\n"]),
+        ) {
+            let profile = FlipProfile {
+                victim: victim.to_string(),
+                machine: format!("machine {}", seed % 7),
+                dram_seed: seed,
+                targets: words
+                    .iter()
+                    .map(|&w| FlipTarget {
+                        bank_unit: w as u32,
+                        row: (w >> 32) as u32,
+                        byte_in_row: (w >> 13) as u32,
+                        bit: (w >> 56) as u8 & 7,
+                    })
+                    .collect(),
+            };
+            let json = serde_json::to_string(&profile).unwrap();
+            let decoded: FlipProfile = serde_json::decode(&json).unwrap();
+            prop_assert_eq!(&decoded, &profile);
+            prop_assert_eq!(serde_json::to_string(&decoded).unwrap(), json);
+        }
     }
 }

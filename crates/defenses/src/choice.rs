@@ -8,11 +8,11 @@
 use pthammer_dram::FlipModel;
 use pthammer_kernel::{DefaultPolicy, DefenseKind, KernelConfig, PlacementPolicy, System};
 use pthammer_machine::MachineConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The defense configurations evaluated in Section IV-G (plus the undefended
 /// baseline and ZebRAM).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum DefenseChoice {
     /// No defense (baseline).
     None,

@@ -8,7 +8,7 @@ use pthammer_patterns::{PatternHammer, SynthesisConfig};
 use pthammer_perf::{HammerEventTally, MachineCounters};
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::matrix::{CellCoord, ScenarioMatrix};
 use crate::report::{CampaignReport, CellReport, REPORT_SCHEMA_VERSION};
@@ -16,7 +16,7 @@ use crate::seeding::cell_seed;
 
 /// Campaign-wide knobs: base seed, parallelism, and the attack scale applied
 /// to every cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CampaignConfig {
     /// Base seed every cell seed is derived from.
     pub base_seed: u64,
@@ -187,7 +187,7 @@ impl CampaignConfig {
 /// hammer loop's own tally — so every consumer (perf reports, repro
 /// binaries, this harness) reports the same number instead of re-deriving
 /// it from configuration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct CellPerf {
     /// Simulated hardware counters accumulated by the cell's machine.
     pub counters: MachineCounters,

@@ -51,31 +51,28 @@
 #![warn(missing_docs)]
 
 mod campaign;
-mod decode;
 mod matrix;
 mod report;
 pub mod resume;
 mod seeding;
-mod victim_cache;
 
 pub use campaign::{
     run_campaign, run_campaign_instrumented, run_cell, run_cell_instrumented, CampaignConfig,
     CellPerf,
 };
-pub use decode::cell_report_from_json;
 pub use matrix::{CellCoord, ProfileChoice, ScenarioMatrix};
 pub use report::{CampaignReport, CellReport, DefenseSummary};
 pub use resume::{
     cell_store_key, merge_stores, run_campaign_resumable, run_campaign_resumable_instrumented,
-    run_campaign_shard, store_manifest, MergeStats, ResumeStats,
+    run_campaign_shard, store_manifest, victim_profile_key, victim_profile_manifest, MergeStats,
+    ResumeStats, VICTIM_PROFILE_SCHEMA_VERSION,
 };
 pub use seeding::{cell_seed, CELL_SEED_SCHEMA_VERSION};
-pub use victim_cache::{
-    flip_profile_from_json, ProfileSource, VictimProfileCache, VICTIM_PROFILE_SCHEMA_VERSION,
-};
 
 pub use pthammer::{HammerMode, VictimChoice};
 pub use pthammer_defenses::DefenseChoice;
 pub use pthammer_kernel::DefenseKind;
 pub use pthammer_machine::MachineChoice;
-pub use pthammer_store::{CellKey, CellLookup, CellStore, ShardSpec, StoreError, StoreManifest};
+pub use pthammer_store::{
+    CellKey, CellLookup, CellStore, MemoSource, ShardSpec, StoreError, StoreManifest,
+};

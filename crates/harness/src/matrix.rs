@@ -6,13 +6,13 @@ use pthammer_dram::FlipModelProfile;
 use pthammer_machine::MachineChoice;
 use pthammer_patterns::PatternChoice;
 use serde::ser::JsonWriter;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Named weak-cell profile, the third axis of the matrix.
 ///
 /// [`FlipModelProfile`] itself is a bag of numbers; campaigns select one of
 /// the named presets so reports stay self-describing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ProfileChoice {
     /// Paper-calibrated thresholds (minutes of simulated time to a flip).
     Paper,
@@ -57,7 +57,7 @@ impl ProfileChoice {
 }
 
 /// Coordinates of one campaign cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct CellCoord {
     /// Machine model under attack.
     pub machine: MachineChoice,
@@ -81,7 +81,7 @@ pub struct CellCoord {
 }
 
 /// Declarative cross product of campaign axes.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioMatrix {
     /// Machines axis.
     pub machines: Vec<MachineChoice>,

@@ -13,6 +13,10 @@ use crate::matrix::ScenarioMatrix;
 pub const REPORT_SCHEMA_VERSION: u32 = 1;
 
 /// Outcome of one campaign cell (one attack run).
+///
+/// Decoding is derived: the keys the hand-written `Serialize` omits for
+/// default rows are `#[serde(default)]`, so every stored row decodes back
+/// to the exact report (store-backed resume and merge depend on it).
 #[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct CellReport {
     /// Machine name (coordinate).
@@ -23,15 +27,18 @@ pub struct CellReport {
     pub profile: String,
     /// Hammer strategy the cell ran (coordinate). Serialized only for
     /// non-default modes, so pre-axis snapshots stay byte-identical.
+    #[serde(default)]
     pub hammer_mode: HammerMode,
     /// Many-sided pattern source the cell ran, if any (coordinate).
     /// Serialized only when present (pre-axis snapshots stay
     /// byte-identical).
+    #[serde(default)]
     pub pattern: Option<PatternChoice>,
     /// Victim the cell's `Exploit` phase drove, if explicitly swept
     /// (coordinate). Serialized only when present (pre-axis snapshots stay
     /// byte-identical); presence also gates the `exploit_succeeded` /
     /// `time_to_exploit` keys below.
+    #[serde(default)]
     pub victim: Option<VictimChoice>,
     /// Repetition index (coordinate).
     pub repetition: u32,
@@ -49,6 +56,7 @@ pub struct CellReport {
     /// Targeted refreshes the machine's TRR mitigation issued during the
     /// cell (0 on TRR-free machines). Serialized only when non-zero, so
     /// pre-TRR snapshots stay byte-identical.
+    #[serde(default)]
     pub trr_refreshes: u64,
     /// Fraction of hammer iterations whose L1PTE loads reached DRAM.
     pub implicit_dram_rate: f64,
@@ -58,10 +66,12 @@ pub struct CellReport {
     pub seconds_to_escalation: Option<f64>,
     /// Whether the cell's victim attack succeeded. Populated (and
     /// serialized) only for explicit-victim cells.
+    #[serde(default)]
     pub exploit_succeeded: Option<bool>,
     /// Double-sided hammer iterations performed before the victim attack
     /// succeeded. Populated (and serialized) only for explicit-victim cells;
     /// `null` there when the exploit never succeeded.
+    #[serde(default)]
     pub time_to_exploit: Option<u64>,
     /// Escalation route (the victim outcome's route label), if the exploit
     /// escalated or recovered key material.
@@ -138,7 +148,7 @@ impl Serialize for CellReport {
 /// Summaries are split by weak-cell profile so control groups (e.g. the
 /// `invulnerable` profile) can never dilute a defense's headline escalation
 /// rate, and by hammer mode so strategy sweeps stay comparable.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DefenseSummary {
     /// Defense, typed; serializes as its display name.
     pub defense: DefenseKind,
@@ -236,7 +246,7 @@ impl Serialize for DefenseSummary {
 }
 
 /// Complete campaign result: inputs, per-cell rows, per-defense summaries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CampaignReport {
     /// Schema version of this report.
     pub schema_version: u32,
@@ -381,6 +391,7 @@ impl CampaignReport {
 mod tests {
     use super::*;
     use crate::matrix::{ProfileChoice, ScenarioMatrix};
+    use proptest::prelude::*;
     use pthammer_defenses::DefenseChoice;
     use pthammer_machine::MachineChoice;
 
@@ -678,5 +689,145 @@ mod tests {
         // The mode key sits between the profile and repetition coordinates.
         assert!(json.find("\"profile\"").unwrap() < json.find("\"hammer_mode\"").unwrap());
         assert!(json.find("\"hammer_mode\"").unwrap() < json.find("\"repetition\"").unwrap());
+    }
+
+    fn tricky_report() -> CellReport {
+        CellReport {
+            machine: "Test Small".into(),
+            defense: DefenseKind::RipRh,
+            profile: "ci".into(),
+            hammer_mode: HammerMode::ImplicitOneLocation,
+            pattern: Some(PatternChoice::Synthesized),
+            victim: Some(VictimChoice::KeyRecovery),
+            repetition: 2,
+            cell_seed: u64::MAX - 1,
+            escalated: true,
+            attempts: 3,
+            flips_observed: 7,
+            exploitable_flips: 1,
+            trr_refreshes: u64::MAX - 3,
+            implicit_dram_rate: 0.1 + 0.2, // not exactly representable
+            seconds_to_first_flip: Some(1.0e-7),
+            seconds_to_escalation: None,
+            exploit_succeeded: Some(true),
+            time_to_exploit: Some(u64::MAX - 7),
+            route: Some("PageTable { pte: 0x1000 }".into()),
+            error: Some("line1\nline2 \"quoted\"".into()),
+        }
+    }
+
+    /// Decodes `report`'s canonical body and checks the round trip is exact:
+    /// equal, bit-exact floats, and byte-identical on re-serialization —
+    /// what store-backed resume and merge emit.
+    fn assert_round_trips(report: &CellReport) {
+        let body = serde_json::to_string(report).unwrap();
+        let decoded: CellReport = serde_json::decode(&body).unwrap();
+        assert_eq!(&decoded, report);
+        let bits = |r: &CellReport| {
+            let f = [r.seconds_to_first_flip, r.seconds_to_escalation];
+            (
+                r.implicit_dram_rate.to_bits(),
+                f.map(|f| f.map(f64::to_bits)),
+            )
+        };
+        assert_eq!(bits(&decoded), bits(report));
+        assert_eq!(serde_json::to_string(&decoded).unwrap(), body);
+    }
+
+    #[test]
+    fn decoded_report_round_trips_exactly() {
+        assert_round_trips(&tricky_report());
+        assert_round_trips(&cell(DefenseChoice::Catt, true, 3));
+        // An unsuccessful explicit-victim row round-trips its nulls.
+        let report = CellReport {
+            exploit_succeeded: Some(false),
+            time_to_exploit: None,
+            ..tricky_report()
+        };
+        let body = serde_json::to_string(&report).unwrap();
+        assert!(body.contains("\"exploit_succeeded\":false,\"time_to_exploit\":null"));
+        assert_round_trips(&report);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn cell_reports_round_trip_byte_identically(
+            w in prop::collection::vec(any::<u64>(), 12..13),
+            text in prop::sample::select(vec!["", "ci", "a\"b\n\\c", "\u{e9}\u{1f600}"]),
+        ) {
+            let pick = |i: usize, n: usize| (w[i] % n as u64) as usize;
+            // A finite `f64` from arbitrary bits: clearing the top exponent
+            // bit maps NaN/infinity patterns onto finite ones.
+            let finite = |bits: u64| {
+                let f = f64::from_bits(bits);
+                if f.is_finite() { f } else { f64::from_bits(bits & !(1 << 62)) }
+            };
+            let (victims, patterns) = (VictimChoice::all(), PatternChoice::all());
+            let victim = [None, Some(victims[pick(3, victims.len())])][pick(4, 2)];
+            assert_round_trips(&CellReport {
+                machine: text.to_string(),
+                defense: DefenseKind::all()[pick(0, DefenseKind::all().len())],
+                profile: text.repeat(2),
+                hammer_mode: HammerMode::all()[pick(1, HammerMode::all().len())],
+                pattern: [None, Some(patterns[pick(2, patterns.len())])][pick(5, 2)],
+                victim,
+                repetition: w[5] as u32,
+                cell_seed: w[6],
+                escalated: w[7] & 1 == 1,
+                attempts: w[7] as usize >> 1,
+                flips_observed: w[8] as usize,
+                exploitable_flips: (w[8] >> 32) as usize,
+                trr_refreshes: w[9] >> (w[9] % 64),
+                implicit_dram_rate: finite(w[10]),
+                seconds_to_first_flip: (w[11] & 1 == 1).then(|| finite(w[11])),
+                seconds_to_escalation: (w[11] & 2 == 2).then(|| finite(w[10] ^ w[11])),
+                // The writer emits the outcome keys only for explicit-victim
+                // rows, so only those carry them.
+                exploit_succeeded: victim.and((w[9] & 1 == 1).then_some(w[9] & 2 == 2)),
+                time_to_exploit: victim.and((w[9] & 4 == 4).then_some(w[6] ^ w[9])),
+                route: (w[5] & 1 == 1).then(|| text.to_string()),
+                error: (w[6] & 1 == 1).then(|| format!("{text}\n{}", w[6])),
+            });
+        }
+    }
+
+    /// Rows written before an axis existed, or with it at its default, omit
+    /// its keys; they decode to the default.
+    #[test]
+    fn absent_axis_keys_decode_to_their_defaults() {
+        let body = serde_json::to_string(&cell(DefenseChoice::None, false, 0)).unwrap();
+        for key in [
+            "hammer_mode",
+            "\"pattern\"",
+            "trr_refreshes",
+            "\"victim\"",
+            "exploit_succeeded",
+            "time_to_exploit",
+        ] {
+            assert!(!body.contains(key), "{key} in {body}");
+        }
+        let decoded: CellReport = serde_json::decode(&body).unwrap();
+        assert_eq!(decoded.hammer_mode, HammerMode::ImplicitDoubleSided);
+        assert_eq!((decoded.pattern, decoded.trr_refreshes), (None, 0));
+        assert_eq!(decoded.victim, None);
+        assert_eq!(
+            (decoded.exploit_succeeded, decoded.time_to_exploit),
+            (None, None)
+        );
+    }
+
+    #[test]
+    fn schema_drift_is_a_described_error() {
+        let decode = serde_json::decode::<CellReport>;
+        let body = serde_json::to_string(&tricky_report()).unwrap();
+        let err = decode(&body.replace("\"attempts\"", "\"tries\"")).unwrap_err();
+        assert!(err.contains("attempts"), "{err}");
+        let err = decode("][").unwrap_err();
+        assert!(err.contains("JSON"), "{err}");
+        let err = decode("{\"machine\":3}").unwrap_err();
+        assert!(err.contains("machine"), "{err}");
+        let err = decode(&body.replace("\"RIP-RH\"", "\"RIP-RX\"")).unwrap_err();
+        assert!(err.contains("defense") && err.contains("RIP-RX"), "{err}");
     }
 }

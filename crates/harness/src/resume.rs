@@ -24,17 +24,21 @@
 //! key (base seed, superpage setting, attack scale — but never the worker
 //! count, which cannot affect results). Anything that could change a cell's
 //! bytes therefore either changes its key or refuses the store.
+//!
+//! The harness's other memoized artifact, the key-recovery victim's flip
+//! profile, is keyed the same way ([`victim_profile_key`]).
 
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
+use pthammer::victim::KeyRecovery;
+use pthammer_machine::MachineConfig;
 use pthammer_store::{
     fnv1a_128, CellKey, CellLookup, CellStore, ShardSpec, StoreManifest, STORE_SCHEMA_VERSION,
 };
 
 use crate::campaign::{assemble_report, run_cell_instrumented, CampaignConfig, CellPerf};
-use crate::decode::cell_report_from_json;
 use crate::matrix::{CellCoord, ScenarioMatrix};
 use crate::report::{CampaignReport, CellReport};
 use crate::seeding::CELL_SEED_SCHEMA_VERSION;
@@ -93,10 +97,51 @@ pub fn store_manifest(config: &CampaignConfig) -> StoreManifest {
     }
 }
 
+/// Version of the flip-profile templating scheme (the weak-cell walk in
+/// [`KeyRecovery::template_profile`] and the profile encoding). Bump on any
+/// behavioral change so memoized profiles are invalidated instead of
+/// resurrected.
+pub const VICTIM_PROFILE_SCHEMA_VERSION: u32 = 1;
+
+/// The manifest of a flip-profile memo directory (see
+/// [`StoreManifest::memo`]).
+pub fn victim_profile_manifest() -> StoreManifest {
+    StoreManifest::memo(
+        "pthammer-harness victim profile cache",
+        VICTIM_PROFILE_SCHEMA_VERSION,
+    )
+}
+
+/// The content address of one machine's key-recovery
+/// [`FlipProfile`](pthammer::FlipProfile), memoized through
+/// [`CellStore::get_or_compute`] (e.g. by `repro_victims --profile-cache`).
+///
+/// The profile is a pure function of the machine *configuration*, so the
+/// key covers every input of [`KeyRecovery::template_profile`]: the flip
+/// model parameters and seed, and the geometry the weak-cell walk spans.
+pub fn victim_profile_key(config: &MachineConfig) -> CellKey {
+    let flip = &config.dram.flip_profile;
+    CellKey::from_canonical(&format!(
+        "pthammer-victim-profile|s{}|victim={}|machine={}|flip_seed={}|density={}|\
+         max_cells={}|threshold={}..{}|true_fraction={}|row_bytes={}|banks={}",
+        VICTIM_PROFILE_SCHEMA_VERSION,
+        KeyRecovery::NAME,
+        config.name,
+        config.dram.flip_seed,
+        flip.weak_row_density,
+        flip.max_weak_cells_per_row,
+        flip.min_threshold,
+        flip.max_threshold,
+        flip.true_cell_fraction,
+        config.dram.geometry.row_bytes,
+        config.dram.geometry.total_banks(),
+    ))
+}
+
 /// Accounting of one store-backed invocation: how each matrix cell was
 /// satisfied. `pthammer-perf` reports these as the store's cache-hit
 /// counters, and the CI resume/shard jobs assert on them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ResumeStats {
     /// Cells in the matrix.
     pub cells_total: usize,
@@ -122,7 +167,7 @@ impl ResumeStats {
 }
 
 /// Accounting of a [`merge_stores`] call.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct MergeStats {
     /// Cells in the merged report.
     pub cells: usize,
@@ -172,16 +217,11 @@ fn run_store_backed(
             continue;
         }
         let corrupt = match store.get(&key) {
-            // A verified body that no longer decodes predates a report-schema
-            // change; recompute it like a corrupt entry.
-            CellLookup::Hit(body) => match cell_report_from_json(&body) {
-                Ok(report) => {
-                    stats.cache_hits += 1;
-                    sources.push(CellSource::Cached(Box::new(report)));
-                    continue;
-                }
-                Err(_) => true,
-            },
+            CellLookup::Hit(report) => {
+                stats.cache_hits += 1;
+                sources.push(CellSource::Cached(Box::new(report)));
+                continue;
+            }
             CellLookup::Corrupt => true,
             CellLookup::Miss => false,
         };
@@ -215,10 +255,7 @@ fn run_store_backed(
             .map(|(i, coord)| {
                 let (report, perf) = run_cell_instrumented(&coord, config);
                 let put = store
-                    .put(
-                        &cell_store_key(&coord),
-                        &serde_json::to_string(&report).unwrap(),
-                    )
+                    .put(&cell_store_key(&coord), &report)
                     .map_err(|e| e.to_string());
                 (i, report, perf, put)
             })
@@ -360,14 +397,11 @@ pub fn merge_stores(
         let key = cell_store_key(coord);
         for (i, store) in stores.iter().enumerate() {
             match store.get(&key) {
-                CellLookup::Hit(body) => match cell_report_from_json(&body) {
-                    Ok(report) => {
-                        stats.per_store[i] += 1;
-                        rows.push(report);
-                        continue 'cells;
-                    }
-                    Err(_) => stats.corrupt_skipped += 1,
-                },
+                CellLookup::Hit(report) => {
+                    stats.per_store[i] += 1;
+                    rows.push(report);
+                    continue 'cells;
+                }
                 CellLookup::Corrupt => stats.corrupt_skipped += 1,
                 CellLookup::Miss => {}
             }
@@ -511,6 +545,37 @@ mod tests {
         );
         assert_eq!(merge_stats.per_store, vec![matrix.len()]);
         CellStore::wipe(&root).unwrap();
+    }
+
+    fn machine(seed: u64) -> MachineConfig {
+        MachineConfig::test_small(pthammer_dram::FlipModelProfile::ci(), seed)
+    }
+
+    #[test]
+    fn victim_profile_keys_separate_machine_seed_and_flip_model() {
+        let a = victim_profile_key(&machine(1));
+        assert_eq!(a, victim_profile_key(&machine(1)));
+        assert_ne!(a, victim_profile_key(&machine(2)));
+        let invulnerable =
+            MachineConfig::test_small(pthammer_dram::FlipModelProfile::invulnerable(), 1);
+        assert_ne!(a, victim_profile_key(&invulnerable));
+    }
+
+    /// Flip-profile memo directories written before the memo moved onto
+    /// `CellStore::get_or_compute` must still open and hit: the manifest
+    /// bytes and key derivation are pinned.
+    #[test]
+    fn victim_profile_manifest_and_key_are_pinned() {
+        assert_eq!(
+            victim_profile_manifest().canonical_json(),
+            "{\n  \"store_schema\": 1,\n  \"seed_schema\": 1,\n  \"base_seed\": 0,\n  \
+             \"superpages\": false,\n  \
+             \"config_fingerprint\": \"e5c757e6574017ca7e0fb9f55e3db74d\"\n}\n"
+        );
+        assert_eq!(
+            victim_profile_key(&machine(1)).hex(),
+            "ab8b2df57dc74cbf8a73ea7ba9aca41c"
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use serde::ser::JsonWriter;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::buddy::BuddyAllocator;
 
@@ -85,10 +85,14 @@ impl Serialize for DefenseKind {
     }
 }
 
-impl Deserialize for DefenseKind {}
+impl Deserialize for DefenseKind {
+    fn deserialize(v: &Value) -> Result<Self, String> {
+        String::deserialize(v)?.parse()
+    }
+}
 
 /// Why the kernel is allocating a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum FramePurpose {
     /// A page-table node at the given level (4 = PML4 … 1 = L1 page table).
     PageTable {
@@ -147,7 +151,7 @@ pub trait PlacementPolicy: fmt::Debug + Send {
 /// regardless of purpose — page tables, user data and kernel data freely
 /// intermingle in DRAM, exactly the situation PThammer exploits on a stock
 /// kernel.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct DefaultPolicy;
 
 impl DefaultPolicy {
@@ -222,5 +226,10 @@ mod tests {
         let mut w = serde::ser::JsonWriter::new(false);
         serde::Serialize::serialize(&DefenseKind::RipRh, &mut w);
         assert_eq!(w.into_string(), "\"RIP-RH\"");
+        for kind in DefenseKind::all() {
+            let name = Value::Str(kind.name().to_string());
+            assert_eq!(DefenseKind::deserialize(&name), Ok(kind));
+        }
+        assert!(DefenseKind::deserialize(&Value::U64(1)).is_err());
     }
 }

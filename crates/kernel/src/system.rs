@@ -563,22 +563,34 @@ impl System {
     /// Raw value of the leaf (Level-1 or huge PDE) entry currently installed
     /// for `vaddr`, if the walk reaches it; `None` when an intermediate level
     /// is missing.
-    fn leaf_entry_raw(&self, pid: Pid, vaddr: VirtAddr) -> Option<u64> {
-        let proc = self.processes.get(&pid)?;
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::BadAddress`] when an intermediate entry points at a
+    /// table beyond installed DRAM (e.g. a rowhammer flip in its frame
+    /// field): the mapping is corrupted, not merely unpopulated.
+    fn leaf_entry_raw(&self, pid: Pid, vaddr: VirtAddr) -> Result<Option<u64>, KernelError> {
+        let Some(proc) = self.processes.get(&pid) else {
+            return Ok(None);
+        };
+        let capacity = self.machine.config().dram.geometry.capacity_bytes();
         let mut table = proc.cr3;
         for level in (1..=4u8).rev() {
             let entry_paddr = table + vaddr.pt_index(level) * 8;
+            if entry_paddr.as_u64() + 8 > capacity {
+                return Err(KernelError::BadAddress(vaddr));
+            }
             let raw = self.machine.phys_read_u64(entry_paddr);
             let entry = Pte::from_raw(raw);
             if level == 1 || (level == 2 && entry.huge()) {
-                return Some(raw);
+                return Ok(Some(raw));
             }
             if !entry.present() {
-                return None;
+                return Ok(None);
             }
             table = entry.frame();
         }
-        None
+        Ok(None)
     }
 
     fn handle_fault(&mut self, pid: Pid, vaddr: VirtAddr) -> Result<(), KernelError> {
@@ -589,8 +601,9 @@ impl System {
         // populated. A page whose leaf entry exists but is corrupted (e.g. a
         // rowhammer flip cleared the present bit or pointed the frame outside
         // of DRAM) is *not* silently re-mapped — the kernel would deliver a
-        // SIGBUS; we surface that as `BadAddress`.
-        if let Some(raw) = self.leaf_entry_raw(pid, vaddr) {
+        // SIGBUS; we surface that as `BadAddress`. So is a walk through an
+        // upper-level entry corrupted to point beyond DRAM.
+        if let Some(raw) = self.leaf_entry_raw(pid, vaddr)? {
             if raw != 0 {
                 return Err(KernelError::BadAddress(vaddr));
             }
@@ -970,6 +983,32 @@ mod tests {
         let total = sys.access_batch(pid, &addrs).unwrap();
         assert!(total.as_u64() > 0);
         assert_eq!(sys.stats().faults_handled, 4);
+    }
+
+    #[test]
+    fn walk_through_a_table_beyond_dram_is_bad_address() {
+        let mut sys = system();
+        let pid = sys.spawn_process(1000).unwrap();
+        let va = sys.mmap(pid, PAGE_SIZE, MmapOptions::default()).unwrap();
+        sys.read_u64(pid, va).unwrap();
+        // A flip sets a frame bit of the PDE above installed DRAM, so its
+        // page table lies past the end of physical memory.
+        let mut table = sys.process(pid).unwrap().cr3;
+        for level in [4, 3] {
+            let entry = sys.machine().phys_read_u64(table + va.pt_index(level) * 8);
+            table = Pte::from_raw(entry).frame();
+        }
+        let pde = table + va.pt_index(2) * 8;
+        let capacity = sys.machine().config().dram.geometry.capacity_bytes();
+        assert!(capacity.is_power_of_two());
+        let raw = sys.machine().phys_read_u64(pde);
+        sys.machine_mut().phys_write_u64(pde, raw | capacity);
+        sys.machine_mut().invalidate_page(va);
+        assert_eq!(
+            sys.read_u64(pid, va).unwrap_err(),
+            KernelError::BadAddress(va)
+        );
+        assert_eq!(sys.oracle_translate(pid, va), None);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Named machine models (the paper's Table I plus the CI-scale test machine).
 
 use pthammer_dram::FlipModelProfile;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::MachineConfig;
 
@@ -11,7 +11,7 @@ use crate::MachineConfig;
 /// [`MachineChoice::TestSmall`] is the deliberately small but fully modelled
 /// machine the integration tests and the campaign harness's CI-scale
 /// matrices run on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum MachineChoice {
     /// Lenovo T420 (Sandy Bridge, 3 MiB 12-way LLC).
     LenovoT420,

@@ -7,7 +7,7 @@
 //! these functions while attacking** — they are used by the evaluation
 //! harness and tests only.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_dram::DramAddress;
 use pthammer_mmu::Pte;
@@ -16,7 +16,7 @@ use pthammer_types::{PhysAddr, VirtAddr, PTE_SIZE};
 use crate::machine::Machine;
 
 /// Result of a software page-table walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SoftwareWalk {
     /// Final translated physical address.
     pub paddr: PhysAddr,
@@ -30,11 +30,15 @@ pub struct SoftwareWalk {
 }
 
 /// Walks the page tables in software (no caches, no timing, no TLB effects).
-/// Returns `None` if any level is non-present.
+/// Returns `None` if any level is non-present or lies beyond installed DRAM.
 pub fn software_walk(machine: &Machine, cr3: PhysAddr, vaddr: VirtAddr) -> Option<SoftwareWalk> {
+    let capacity = machine.config().dram.geometry.capacity_bytes();
     let mut table = cr3;
     for level in (1..=4u8).rev() {
         let entry_paddr = table + vaddr.pt_index(level) * PTE_SIZE;
+        if entry_paddr.as_u64() + PTE_SIZE > capacity {
+            return None;
+        }
         let entry = Pte::from_raw(machine.phys_read_u64(entry_paddr));
         if !entry.present() {
             return None;

@@ -28,6 +28,9 @@
 //!         self.0.insert(paddr.as_u64(), value);
 //!         MemAccessOutcome::cache_hit(paddr, MemoryLevel::L1, Cycles::new(4))
 //!     }
+//!     fn capacity_bytes(&self) -> u64 {
+//!         1 << 30
+//!     }
 //! }
 //!
 //! // Build a one-page mapping: VA 0x1000 -> PA 0x5000.

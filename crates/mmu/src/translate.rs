@@ -1,7 +1,7 @@
 //! The MMU proper: TLB lookup, paging-structure-cache consultation and the
 //! hardware page-table walk (Figure 2 of the paper).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pthammer_types::{
     Cycles, MemAccessOutcome, MemoryLevel, PageSize, PhysAddr, PhysicalMemoryAccess, VirtAddr,
@@ -20,7 +20,7 @@ use crate::{
 /// These are the *implicit accesses* PThammer turns into hammer blows: when
 /// the Level-1 PTE load is served by DRAM (`outcome.served_by == Dram`), the
 /// DRAM row holding the victim process's page table is activated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct WalkLoad {
     /// Page-table level of the entry (4 = PML4E … 1 = PTE).
     pub level: u8,
@@ -32,12 +32,15 @@ pub struct WalkLoad {
     pub value: Pte,
 }
 
-/// A translation fault (non-present entry encountered during the walk).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// A translation fault: the walk met a non-present entry, or an entry whose
+/// table lies beyond installed physical memory (e.g. after a rowhammer flip
+/// in an upper-level entry's frame field).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct PageFault {
     /// Faulting virtual address.
     pub vaddr: VirtAddr,
-    /// Page-table level at which the walk found a non-present entry.
+    /// Page-table level at which the walk found a non-present entry or an
+    /// entry beyond installed memory (0: the final address is beyond it).
     pub level: u8,
 }
 
@@ -133,7 +136,7 @@ impl TranslationResult {
 }
 
 /// The memory-management unit of one core.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Mmu {
     config: MmuConfig,
     tlbs: TlbHierarchy,
@@ -286,19 +289,26 @@ impl Mmu {
         let mut l1pte_from_dram = false;
         loop {
             let entry_paddr = table_base + vaddr.pt_index(level) * PTE_SIZE;
-            let (raw, outcome) = mem.load_qword(entry_paddr);
-            let value = Pte::from_raw(raw);
-            latency += outcome.latency;
-            latency += Cycles::new(u64::from(self.config.walk_step_latency));
-            if level == 1 {
-                l1pte_from_dram = outcome.served_by == MemoryLevel::Dram;
-            }
-            record(WalkLoad {
-                level,
-                entry_paddr,
-                outcome,
-                value,
-            });
+            let value = if entry_paddr.as_u64() + PTE_SIZE > mem.capacity_bytes() {
+                // Unpopulated physical address space: nothing is loaded, and
+                // the walk faults as on a non-present entry.
+                Pte::from_raw(0)
+            } else {
+                let (raw, outcome) = mem.load_qword(entry_paddr);
+                let value = Pte::from_raw(raw);
+                latency += outcome.latency;
+                latency += Cycles::new(u64::from(self.config.walk_step_latency));
+                if level == 1 {
+                    l1pte_from_dram = outcome.served_by == MemoryLevel::Dram;
+                }
+                record(WalkLoad {
+                    level,
+                    entry_paddr,
+                    outcome,
+                    value,
+                });
+                value
+            };
 
             if !value.present() {
                 return CoreTranslation {
@@ -418,7 +428,13 @@ mod tests {
             self.words.insert(paddr.as_u64(), value);
             MemAccessOutcome::cache_hit(paddr, MemoryLevel::L1, Cycles::new(self.latency))
         }
+        fn capacity_bytes(&self) -> u64 {
+            CAPACITY
+        }
     }
+
+    /// Installed memory of the flat test machine (16 MiB).
+    const CAPACITY: u64 = 16 << 20;
 
     const CR3: u64 = 0x100_000;
     const PDPT: u64 = 0x101_000;
@@ -532,6 +548,28 @@ mod tests {
         // The fault is not cached: translating again walks again.
         let res2 = mmu.translate(PhysAddr::new(CR3), vaddr, &mut mem);
         assert!(res2.fault.is_some());
+    }
+
+    #[test]
+    fn table_beyond_installed_memory_faults_instead_of_loading() {
+        let mut mem = FlatMem::new();
+        let vaddr = VirtAddr::new(0x5000_0000);
+        map_page(&mut mem, vaddr, 0x200_000);
+        // A flipped high bit in the PDE's frame field sends the walker to a
+        // page table past the end of installed memory.
+        let beyond = PhysAddr::new(PT | (CAPACITY << 4));
+        mem.write(PD + vaddr.pt_index(2) * 8, Pte::table(beyond).raw());
+        let mut mmu = mmu();
+        let res = mmu.translate(PhysAddr::new(CR3), vaddr, &mut mem);
+        assert_eq!(res.paddr, None);
+        assert_eq!(res.fault, Some(PageFault { vaddr, level: 1 }));
+        // The PML4E, PDPTE and PDE loads happen; the out-of-range L1PTE
+        // load never reaches memory.
+        assert_eq!(res.walk_loads.len(), 3);
+        assert!(mem.loads.iter().all(|p| p.as_u64() < CAPACITY));
+        // The batched-touch entry point takes the same path.
+        let touch = mmu.translate_touch(PhysAddr::new(CR3), vaddr, &mut mem);
+        assert_eq!(touch.fault, Some(PageFault { vaddr, level: 1 }));
     }
 
     #[test]

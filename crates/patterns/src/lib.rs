@@ -17,10 +17,12 @@
 //! * [`PatternHammer`] — a [`pthammer::HammerStrategy`] executing a pattern
 //!   through the attack pipeline with the same `RoundOp`/event-bus
 //!   telemetry as the built-in modes.
-//! * [`SynthesisCache`] — content-addressed caching of synthesis results in
-//!   a `pthammer-store` for tools that re-search the same machine (e.g.
-//!   `repro_trr --synth-cache`); store-backed campaigns already cache whole
-//!   pattern cells, so resumed campaigns never re-search either way.
+//! * [`synthesis_key`] / [`synthesis_manifest`] — the content address and
+//!   memo-directory manifest under which tools that re-search the same
+//!   machine (e.g. `repro_trr --synth-cache`) memoize synthesis results
+//!   through `pthammer_store::CellStore::get_or_compute`; store-backed
+//!   campaigns already cache whole pattern cells, so resumed campaigns never
+//!   re-search either way.
 //! * [`PatternChoice`] — the campaign-harness axis value naming how a cell
 //!   obtains its pattern.
 
@@ -31,20 +33,18 @@ use std::fmt;
 use std::str::FromStr;
 
 use serde::ser::JsonWriter;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
-pub mod cache;
 pub mod pattern;
 pub mod strategy;
 pub mod synth;
 
-pub use cache::{SynthesisCache, SynthesisSource, SYNTH_SCHEMA_VERSION};
-pub use pattern::{pattern_from_json, HammerPattern, MAX_OFFSET, MAX_SCHEDULE, MAX_SIDES};
+pub use pattern::{HammerPattern, MAX_OFFSET, MAX_SCHEDULE, MAX_SIDES};
 pub use strategy::PatternHammer;
 pub use synth::{
-    evaluate, evaluate_incremental, synthesis_result_from_json, synthesize,
+    evaluate, evaluate_incremental, synthesis_key, synthesis_manifest, synthesize,
     synthesize_with_telemetry, PatternScore, SchedulePrefixTrace, SynthTelemetry, SynthesisConfig,
-    SynthesisResult,
+    SynthesisResult, SYNTH_SCHEMA_VERSION,
 };
 
 /// How a campaign cell obtains its hammer pattern — the pattern axis of the
@@ -109,7 +109,11 @@ impl Serialize for PatternChoice {
     }
 }
 
-impl Deserialize for PatternChoice {}
+impl Deserialize for PatternChoice {
+    fn deserialize(v: &Value) -> Result<Self, String> {
+        String::deserialize(v)?.parse()
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -125,6 +129,10 @@ mod tests {
         let mut w = JsonWriter::new(false);
         PatternChoice::Synthesized.serialize(&mut w);
         assert_eq!(w.into_string(), "\"synthesized\"");
+        for choice in PatternChoice::all() {
+            let json = serde_json::to_string(&choice).unwrap();
+            assert_eq!(serde_json::decode::<PatternChoice>(&json), Ok(choice));
+        }
     }
 
     #[test]

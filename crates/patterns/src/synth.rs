@@ -13,8 +13,8 @@
 //!
 //! Everything is a pure function of the [`SynthesisConfig`] and the seed:
 //! same inputs, same best pattern, bit for bit — which is what lets campaign
-//! cells synthesize on the fly at any thread count and lets the
-//! content-addressed cache ([`crate::SynthesisCache`]) resume searches
+//! cells synthesize on the fly at any thread count and lets a
+//! content-addressed memo (keyed by [`synthesis_key`]) serve repeat searches
 //! byte-identically.
 //!
 //! # Incremental scoring
@@ -40,16 +40,16 @@ use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::ser::JsonWriter;
 use serde::{Deserialize, Serialize};
 
 use pthammer_dram::{
     Bank, BankCheckpoint, DramTimings, FlipModel, FlipModelProfile, RowBufferPolicy, TrrConfig,
 };
 use pthammer_machine::MachineConfig;
+use pthammer_store::{CellKey, StoreManifest};
 use pthammer_types::Cycles;
 
-use crate::pattern::{pattern_from_json, HammerPattern, MAX_OFFSET, MAX_SCHEDULE, MAX_SIDES};
+use crate::pattern::{HammerPattern, MAX_OFFSET, MAX_SCHEDULE, MAX_SIDES};
 
 /// Domain-separation salt folded into every synthesis RNG seed.
 const SYNTH_SEED_SALT: u64 = 0x5452_5265_7370_6173; // "TRRespas"
@@ -617,7 +617,7 @@ pub fn evaluate_incremental(
 }
 
 /// Result of one synthesis run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SynthesisResult {
     /// The best pattern found.
     pub best: HammerPattern,
@@ -630,59 +630,27 @@ pub struct SynthesisResult {
     pub generations: u32,
 }
 
-// Hand-written canonical JSON; `synthesis_result_from_json` is the exact
-// inverse (the cache's byte-identity rests on the round trip).
-impl Serialize for SynthesisResult {
-    fn serialize(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.key("best");
-        self.best.serialize(w);
-        w.key("score");
-        self.score.serialize(w);
-        w.key("evaluations");
-        self.evaluations.serialize(w);
-        w.key("generations");
-        self.generations.serialize(w);
-        w.end_object();
-    }
+/// Version of the synthesis scheme (the evaluator, the search loop, and the
+/// result encoding). Bump on any behavioral change so memoized results are
+/// invalidated instead of resurrected.
+pub const SYNTH_SCHEMA_VERSION: u32 = 1;
+
+/// The manifest of a synthesis memo directory (see
+/// [`StoreManifest::memo`]).
+pub fn synthesis_manifest() -> StoreManifest {
+    StoreManifest::memo("pthammer-patterns synthesis cache", SYNTH_SCHEMA_VERSION)
 }
 
-impl Deserialize for SynthesisResult {}
-
-/// Parses the canonical JSON form written by [`SynthesisResult`]'s
-/// `Serialize` impl.
-///
-/// # Errors
-///
-/// Describes the first missing or mistyped field.
-pub fn synthesis_result_from_json(body: &str) -> Result<SynthesisResult, String> {
-    let value =
-        serde_json::from_str(body).map_err(|e| format!("synthesis body is not JSON: {e}"))?;
-    let u32_of = |v: &serde_json::Value, name: &str| -> Result<u32, String> {
-        v.get(name)
-            .and_then(|f| f.as_u64())
-            .and_then(|f| u32::try_from(f).ok())
-            .ok_or_else(|| format!("synthesis field `{name}` is not a u32"))
-    };
-    let best = pattern_from_json(
-        value
-            .get("best")
-            .ok_or_else(|| "synthesis body is missing `best`".to_string())?,
-    )?;
-    let score = value
-        .get("score")
-        .ok_or_else(|| "synthesis body is missing `score`".to_string())?;
-    Ok(SynthesisResult {
-        best,
-        score: PatternScore {
-            peak_victim_disturbance: u32_of(score, "peak_victim_disturbance")?,
-            expected_disturbance: u32_of(score, "expected_disturbance")?,
-            trr_fired: u32_of(score, "trr_fired")?,
-            touches_per_round: u32_of(score, "touches_per_round")?,
-        },
-        evaluations: u32_of(&value, "evaluations")?,
-        generations: u32_of(&value, "generations")?,
-    })
+/// The content address of one synthesis request: the schema version, the
+/// full [`SynthesisConfig`] fingerprint and the seed — everything the
+/// deterministic result depends on.
+pub fn synthesis_key(config: &SynthesisConfig, seed: u64) -> CellKey {
+    CellKey::from_canonical(&format!(
+        "pthammer-synth|s{}|{}|seed={}",
+        SYNTH_SCHEMA_VERSION,
+        config.canonical_string(),
+        seed,
+    ))
 }
 
 /// Runs the deterministic synthesis loop. Identical to
@@ -958,11 +926,80 @@ mod tests {
     fn synthesis_result_json_round_trips() {
         let result = synthesize(&trr_config(), 7);
         let json = serde_json::to_string(&result).unwrap();
-        let decoded = synthesis_result_from_json(&json).unwrap();
+        let decoded: SynthesisResult = serde_json::decode(&json).unwrap();
         assert_eq!(decoded, result);
         assert_eq!(serde_json::to_string(&decoded).unwrap(), json);
-        assert!(synthesis_result_from_json("][").is_err());
-        assert!(synthesis_result_from_json("{}").is_err());
+        assert!(serde_json::decode::<SynthesisResult>("][").is_err());
+        let err = serde_json::decode::<SynthesisResult>("{}").unwrap_err();
+        assert!(err.contains("best"), "{err}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+        #[test]
+        fn synthesis_results_round_trip_byte_identically(
+            seed in proptest::arbitrary::any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut best = HammerPattern::uniform_n_sided(2 + (seed % 5) as usize);
+            for _ in 0..seed % 4 {
+                best = mutate(&best, &mut rng);
+            }
+            let [a, b, c, d, e, f] = [0; 6].map(|_| rng.gen_range(0..u32::MAX));
+            let result = SynthesisResult {
+                best,
+                score: PatternScore {
+                    peak_victim_disturbance: a,
+                    expected_disturbance: b,
+                    trr_fired: c,
+                    touches_per_round: d,
+                },
+                evaluations: e,
+                generations: f,
+            };
+            let json = serde_json::to_string(&result).unwrap();
+            let decoded: SynthesisResult = serde_json::decode(&json).unwrap();
+            proptest::prop_assert_eq!(&decoded, &result);
+            proptest::prop_assert_eq!(serde_json::to_string(&decoded).unwrap(), json);
+        }
+    }
+
+    /// The memo's config as the retired cache tests pinned it.
+    fn memo_config() -> SynthesisConfig {
+        SynthesisConfig {
+            eval_op_budget: 2_048,
+            generations: 4,
+            population: 8,
+            elites: 2,
+            ..trr_config()
+        }
+    }
+
+    #[test]
+    fn keys_separate_config_and_seed() {
+        let a = synthesis_key(&memo_config(), 1);
+        assert_eq!(a, synthesis_key(&memo_config(), 1));
+        assert_ne!(a, synthesis_key(&memo_config(), 2));
+        let mut other = memo_config();
+        other.trr.sampler_capacity += 1;
+        assert_ne!(a, synthesis_key(&other, 1));
+    }
+
+    /// Synthesis memo directories written before the memo moved onto
+    /// `CellStore::get_or_compute` must still open and hit: the manifest
+    /// bytes and key derivation are pinned.
+    #[test]
+    fn memo_manifest_and_key_are_pinned() {
+        assert_eq!(
+            synthesis_manifest().canonical_json(),
+            "{\n  \"store_schema\": 1,\n  \"seed_schema\": 1,\n  \"base_seed\": 0,\n  \
+             \"superpages\": false,\n  \
+             \"config_fingerprint\": \"8aee9f231f7a87c91ad17e9e77b325a5\"\n}\n"
+        );
+        assert_eq!(
+            synthesis_key(&memo_config(), 1).hex(),
+            "43c9188912403cab4a0cbdf988e652bf"
+        );
     }
 
     #[test]

@@ -2,14 +2,14 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Version stamp of the perf-report schema; bump when the JSON layout
 /// changes so baselines fail loudly instead of mysteriously.
 pub const PERF_SCHEMA_VERSION: u32 = 1;
 
 /// Result of one pinned perf workload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct WorkloadPerf {
     /// Workload name (pinned; order in the report is pinned too).
     pub name: String,
@@ -31,7 +31,7 @@ impl WorkloadPerf {
 }
 
 /// The complete perf report (`BENCH_perf.json`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct PerfReport {
     /// Schema version of this report.
     pub schema_version: u32,

@@ -26,9 +26,15 @@
 //! cover disjoint cells of the same matrix and their stores merge into one
 //! report (see `pthammer_harness::merge_stores`).
 //!
-//! This crate is deliberately coordinate-agnostic: it stores opaque
-//! `(key, JSON)` pairs. The harness owns the canonical coordinate string and
-//! the report decoding.
+//! The same machinery is the workspace's one content-addressed memo:
+//! [`CellStore::get_or_compute`] serves any `Serialize + Deserialize`
+//! artifact (synthesis results, victim flip profiles) from a directory
+//! opened with a [`StoreManifest::memo`] manifest, recomputing on a miss or
+//! a corrupt entry.
+//!
+//! This crate is deliberately coordinate-agnostic: it stores typed values
+//! as canonical JSON under opaque keys. Callers own the canonical key
+//! strings.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,4 +49,4 @@ pub use hash::fnv1a_128;
 pub use key::CellKey;
 pub use manifest::{StoreManifest, STORE_SCHEMA_VERSION};
 pub use shard::ShardSpec;
-pub use store::{CellLookup, CellStore, StoreError, StoreStatus};
+pub use store::{CellLookup, CellStore, MemoSource, StoreError, StoreStatus};

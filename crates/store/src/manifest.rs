@@ -1,6 +1,8 @@
 //! The manifest binding a store to one campaign shape.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
+
+use crate::hash::fnv1a_128;
 
 /// Version of the store's on-disk layout (manifest shape, cell-file header,
 /// directory structure). Bump when the layout changes so old stores are
@@ -17,7 +19,7 @@ pub const STORE_SCHEMA_VERSION: u32 = 1;
 /// stored manifest against the expected one **byte-for-byte** (canonical
 /// JSON), so any drift — a seed-schema bump after a behavior change, a
 /// different base seed, a retuned config — invalidates the store loudly.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct StoreManifest {
     /// On-disk layout version ([`STORE_SCHEMA_VERSION`]).
     pub store_schema: u32,
@@ -34,6 +36,22 @@ pub struct StoreManifest {
 }
 
 impl StoreManifest {
+    /// The manifest of a memo directory for one kind of artifact (a
+    /// synthesis result, a flip profile, ...). Per-request variability lives
+    /// entirely in the keys, so one directory serves every machine and
+    /// seed; the manifest only refuses directories written by another store
+    /// layout, another artifact, or another version `schema` of its
+    /// producer.
+    pub fn memo(artifact: &str, schema: u32) -> Self {
+        Self {
+            store_schema: STORE_SCHEMA_VERSION,
+            seed_schema: schema,
+            base_seed: 0,
+            superpages: false,
+            config_fingerprint: format!("{:032x}", fnv1a_128(artifact.as_bytes())),
+        }
+    }
+
     /// The canonical byte form stored in `manifest.json` and compared on
     /// open.
     pub fn canonical_json(&self) -> String {

@@ -64,20 +64,34 @@ impl std::error::Error for StoreError {}
 
 /// Result of probing the store for a cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CellLookup {
-    /// The cell is cached; the body is the exact canonical JSON that was
-    /// stored (hash-verified on read).
-    Hit(String),
+pub enum CellLookup<V> {
+    /// The cell is cached: its body was hash-verified on read and decoded
+    /// into the value that was stored.
+    Hit(V),
     /// The cell has not been computed.
     Miss,
     /// A file exists for the cell but is truncated or corrupted (header
-    /// unparseable, wrong key, length or content hash mismatch). The caller
-    /// should recompute and overwrite.
+    /// unparseable, wrong key, length or content hash mismatch), or its
+    /// verified body no longer decodes (it predates a schema change). The
+    /// caller should recompute and overwrite.
     Corrupt,
 }
 
+/// How [`CellStore::get_or_compute`] satisfied a request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemoSource {
+    /// Served from the store (hash-verified and decoded; byte-identical to
+    /// a fresh computation).
+    Cached,
+    /// Computed by this invocation and written through.
+    Computed,
+    /// Computed because a store entry existed but failed verification or
+    /// decoding.
+    Recomputed,
+}
+
 /// Counts from a full verification walk of the store.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct StoreStatus {
     /// Valid, hash-verified cell entries.
     pub entries: usize,
@@ -87,12 +101,24 @@ pub struct StoreStatus {
 
 /// Per-cell header line: the first line of every cell file, followed by the
 /// body bytes it describes.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 struct CellHeader {
     store_schema: u32,
     key: String,
     content_fnv: String,
     bytes: usize,
+}
+
+impl CellHeader {
+    /// The header a valid file for `body` under `key` carries.
+    fn describe(key: &CellKey, body: &str) -> Self {
+        Self {
+            store_schema: STORE_SCHEMA_VERSION,
+            key: key.hex(),
+            content_fnv: format!("{:032x}", fnv1a_128(body.as_bytes())),
+            bytes: body.len(),
+        }
+    }
 }
 
 /// A content-addressed store of campaign cells under one root directory.
@@ -190,47 +216,85 @@ impl CellStore {
         self.root.join("cells").join(format!("{}.json", key.hex()))
     }
 
-    /// Looks the cell up, verifying the stored content hash.
-    ///
-    /// Never fails: unreadable, truncated, or corrupted entries come back as
-    /// [`CellLookup::Corrupt`] so the caller recomputes instead of crashing
-    /// or trusting bad bytes.
-    pub fn get(&self, key: &CellKey) -> CellLookup {
+    /// Reads the cell's body, verifying it against its header (schema,
+    /// key, length and content hash).
+    fn read(&self, key: &CellKey) -> CellLookup<String> {
         let text = match fs::read_to_string(self.cell_path(key)) {
             Ok(text) => text,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return CellLookup::Miss,
             Err(_) => return CellLookup::Corrupt,
         };
-        match decode_cell_file(&text, Some(key)) {
-            Some(body) => CellLookup::Hit(body),
+        let verified = text.split_once('\n').filter(|(header, body)| {
+            serde_json::decode::<CellHeader>(header)
+                .is_ok_and(|h| h == CellHeader::describe(key, body))
+        });
+        match verified {
+            Some((_, body)) => CellLookup::Hit(body.to_string()),
             None => CellLookup::Corrupt,
         }
     }
 
-    /// Stores `body` (the cell's canonical JSON) under `key`, atomically:
-    /// the bytes land in a temp file first and are renamed into place, so
+    /// Looks the cell up, verifying the stored content hash, and decodes
+    /// its body as a `V`.
+    ///
+    /// Never fails: unreadable, truncated, corrupted or undecodable entries
+    /// come back as [`CellLookup::Corrupt`] so the caller recomputes instead
+    /// of crashing or trusting bad bytes.
+    pub fn get<V: Deserialize>(&self, key: &CellKey) -> CellLookup<V> {
+        match self.read(key) {
+            CellLookup::Hit(body) => {
+                serde_json::decode(&body).map_or(CellLookup::Corrupt, CellLookup::Hit)
+            }
+            CellLookup::Miss => CellLookup::Miss,
+            CellLookup::Corrupt => CellLookup::Corrupt,
+        }
+    }
+
+    /// Stores `value`'s canonical compact JSON under `key`, atomically: the
+    /// bytes land in a temp file first and are renamed into place, so
     /// concurrent readers and killed writers only ever see absent or
     /// complete entries. Overwrites any existing entry.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] on filesystem failure.
-    pub fn put(&self, key: &CellKey, body: &str) -> Result<(), StoreError> {
-        let header = CellHeader {
-            store_schema: STORE_SCHEMA_VERSION,
-            key: key.hex(),
-            content_fnv: format!("{:032x}", fnv1a_128(body.as_bytes())),
-            bytes: body.len(),
-        };
-        let mut file = serde_json::to_string(&header).expect("header serializes");
+    pub fn put<V: Serialize + ?Sized>(&self, key: &CellKey, value: &V) -> Result<(), StoreError> {
+        let body = serde_json::to_string(value).expect("value serializes");
+        let mut file =
+            serde_json::to_string(&CellHeader::describe(key, &body)).expect("header serializes");
         file.push('\n');
-        file.push_str(body);
+        file.push_str(&body);
         write_atomic(&self.root, &self.cell_path(key), file.as_bytes())
     }
 
-    /// Whether a *valid* entry exists for `key`.
+    /// The content-addressed memo: a verified, decodable entry is returned
+    /// as-is ([`MemoSource::Cached`]); otherwise `compute` runs and its
+    /// result is written through. Because the store round-trips values
+    /// exactly, a hit is byte-identical to a fresh computation of a
+    /// deterministic `compute`.
+    ///
+    /// # Errors
+    ///
+    /// Store errors from the write-through; lookups never fail (corruption
+    /// means recompute).
+    pub fn get_or_compute<V: Serialize + Deserialize>(
+        &self,
+        key: &CellKey,
+        compute: impl FnOnce() -> V,
+    ) -> Result<(V, MemoSource), StoreError> {
+        let source = match self.get(key) {
+            CellLookup::Hit(value) => return Ok((value, MemoSource::Cached)),
+            CellLookup::Miss => MemoSource::Computed,
+            CellLookup::Corrupt => MemoSource::Recomputed,
+        };
+        let value = compute();
+        self.put(key, &value)?;
+        Ok((value, source))
+    }
+
+    /// Whether a *valid* (hash-verified) entry exists for `key`.
     pub fn contains(&self, key: &CellKey) -> bool {
-        matches!(self.get(key), CellLookup::Hit(_))
+        matches!(self.read(key), CellLookup::Hit(_))
     }
 
     /// Walks the cell directory, verifying every entry.
@@ -292,29 +356,6 @@ impl CellStore {
     }
 }
 
-/// Validates a cell file's header against its body (and, when given, the
-/// key it is filed under), returning the verified body.
-fn decode_cell_file(text: &str, expect_key: Option<&CellKey>) -> Option<String> {
-    let (header_line, body) = text.split_once('\n')?;
-    let header = serde_json::from_str(header_line).ok()?;
-    let schema = header.get("store_schema")?.as_u64()?;
-    if schema != u64::from(STORE_SCHEMA_VERSION) {
-        return None;
-    }
-    let key = CellKey::from_hex(header.get("key")?.as_str()?)?;
-    if expect_key.is_some_and(|expected| *expected != key) {
-        return None;
-    }
-    if header.get("bytes")?.as_u64()? != body.len() as u64 {
-        return None;
-    }
-    let fnv = format!("{:032x}", fnv1a_128(body.as_bytes()));
-    if header.get("content_fnv")?.as_str()? != fnv {
-        return None;
-    }
-    Some(body.to_string())
-}
-
 /// Writes `bytes` to `path` atomically: temp file in `<store root>/tmp` (or
 /// the target's directory while the store is being created), then rename.
 fn write_atomic(root: &Path, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
@@ -347,6 +388,7 @@ fn write_atomic(root: &Path, path: &Path, bytes: &[u8]) -> Result<(), StoreError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn manifest() -> StoreManifest {
         StoreManifest {
@@ -368,15 +410,34 @@ mod tests {
         root
     }
 
+    /// A stand-in artifact with the field kinds real memoized values carry.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    struct Artifact {
+        label: String,
+        rate: f64,
+        rows: Vec<u32>,
+    }
+
+    fn artifact(seed: u32) -> Artifact {
+        Artifact {
+            label: format!("a\"b\n{seed}"),
+            rate: 0.1 + f64::from(seed),
+            rows: (0..seed).collect(),
+        }
+    }
+
     #[test]
     fn put_get_round_trips_exact_bytes() {
         let root = temp_root("roundtrip");
         let store = CellStore::open(&root, &manifest()).unwrap();
         let key = CellKey::from_canonical("cell-a");
-        assert_eq!(store.get(&key), CellLookup::Miss);
-        let body = "{\"escalated\":true,\"rate\":0.125,\"s\":\"a\\\"b\\n\"}";
-        store.put(&key, body).unwrap();
-        assert_eq!(store.get(&key), CellLookup::Hit(body.to_string()));
+        assert_eq!(store.get::<Artifact>(&key), CellLookup::Miss);
+        store.put(&key, &artifact(3)).unwrap();
+        assert_eq!(store.get(&key), CellLookup::Hit(artifact(3)));
+        // The file is the header line plus the value's canonical JSON.
+        let body = serde_json::to_string(&artifact(3)).unwrap();
+        let text = fs::read_to_string(store.cell_path(&key)).unwrap();
+        assert_eq!(text.split_once('\n').unwrap().1, body);
         assert!(store.contains(&key));
         let status = store.status().unwrap();
         assert_eq!(
@@ -396,10 +457,10 @@ mod tests {
         let key = CellKey::from_canonical("cell-b");
         {
             let store = CellStore::open(&root, &manifest()).unwrap();
-            store.put(&key, "{}").unwrap();
+            store.put(&key, &1u64).unwrap();
         }
         let store = CellStore::open(&root, &manifest()).unwrap();
-        assert_eq!(store.get(&key), CellLookup::Hit("{}".to_string()));
+        assert_eq!(store.get(&key), CellLookup::Hit(1u64));
         CellStore::wipe(&root).unwrap();
     }
 
@@ -408,7 +469,9 @@ mod tests {
         let root = temp_root("drift");
         {
             let store = CellStore::open(&root, &manifest()).unwrap();
-            store.put(&CellKey::from_canonical("cell-c"), "{}").unwrap();
+            store
+                .put(&CellKey::from_canonical("cell-c"), &1u64)
+                .unwrap();
         }
         // A seed-schema bump (or any campaign-shape change) must refuse the
         // old entries rather than serve them.
@@ -427,7 +490,7 @@ mod tests {
         CellStore::wipe(&root).unwrap();
         let store = CellStore::open(&root, &bumped).unwrap();
         assert_eq!(
-            store.get(&CellKey::from_canonical("cell-c")),
+            store.get::<u64>(&CellKey::from_canonical("cell-c")),
             CellLookup::Miss
         );
         CellStore::wipe(&root).unwrap();
@@ -438,21 +501,21 @@ mod tests {
         let root = temp_root("corrupt");
         let store = CellStore::open(&root, &manifest()).unwrap();
         let key = CellKey::from_canonical("cell-d");
-        store.put(&key, "{\"flips\":3}").unwrap();
+        store.put(&key, &vec![3u32]).unwrap();
         let path = store.cell_path(&key);
 
         // Flipped body byte: content hash mismatch.
         let original = fs::read_to_string(&path).unwrap();
-        fs::write(&path, original.replace("\"flips\":3", "\"flips\":9")).unwrap();
-        assert_eq!(store.get(&key), CellLookup::Corrupt);
+        fs::write(&path, original.replace("[3]", "[9]")).unwrap();
+        assert_eq!(store.get::<Vec<u32>>(&key), CellLookup::Corrupt);
 
         // Truncated file: length mismatch (or unparseable header).
-        fs::write(&path, &original[..original.len() - 4]).unwrap();
-        assert_eq!(store.get(&key), CellLookup::Corrupt);
+        fs::write(&path, &original[..original.len() - 2]).unwrap();
+        assert_eq!(store.get::<Vec<u32>>(&key), CellLookup::Corrupt);
 
         // Garbage: no header line.
         fs::write(&path, "not a store file").unwrap();
-        assert_eq!(store.get(&key), CellLookup::Corrupt);
+        assert_eq!(store.get::<Vec<u32>>(&key), CellLookup::Corrupt);
         let status = store.status().unwrap();
         assert_eq!(
             status,
@@ -463,11 +526,21 @@ mod tests {
         );
 
         // Overwriting with a fresh put repairs the entry.
-        store.put(&key, "{\"flips\":3}").unwrap();
-        assert_eq!(
-            store.get(&key),
-            CellLookup::Hit("{\"flips\":3}".to_string())
-        );
+        store.put(&key, &vec![3u32]).unwrap();
+        assert_eq!(store.get(&key), CellLookup::Hit(vec![3u32]));
+        CellStore::wipe(&root).unwrap();
+    }
+
+    #[test]
+    fn verified_body_that_does_not_decode_is_corrupt() {
+        let root = temp_root("schema");
+        let store = CellStore::open(&root, &manifest()).unwrap();
+        let key = CellKey::from_canonical("cell-s");
+        // Written under an older schema: hash-valid, but not an `Artifact`.
+        store.put(&key, &vec![1u32, 2]).unwrap();
+        assert!(store.contains(&key), "the bytes themselves verify");
+        assert_eq!(store.get::<Artifact>(&key), CellLookup::Corrupt);
+        assert_eq!(store.get(&key), CellLookup::Hit(vec![1u32, 2]));
         CellStore::wipe(&root).unwrap();
     }
 
@@ -477,12 +550,12 @@ mod tests {
         let store = CellStore::open(&root, &manifest()).unwrap();
         let a = CellKey::from_canonical("cell-a");
         let b = CellKey::from_canonical("cell-b");
-        store.put(&a, "{}").unwrap();
+        store.put(&a, &1u64).unwrap();
         // Simulate a mis-filed entry (e.g. a bad manual copy between
         // stores): body verifies against its header, but the header's key is
         // not the one it is filed under.
         fs::rename(store.cell_path(&a), store.cell_path(&b)).unwrap();
-        assert_eq!(store.get(&b), CellLookup::Corrupt);
+        assert_eq!(store.get::<u64>(&b), CellLookup::Corrupt);
         CellStore::wipe(&root).unwrap();
     }
 
@@ -492,7 +565,7 @@ mod tests {
         let key = CellKey::from_canonical("cell-t");
         {
             let store = CellStore::open(&root, &manifest()).unwrap();
-            store.put(&key, "{}").unwrap();
+            store.put(&key, &1u64).unwrap();
         }
         // Simulate a writer killed mid-write: a half-written staging file.
         fs::write(root.join("tmp").join("orphan.9999.7.tmp"), "half-writ").unwrap();
@@ -503,9 +576,9 @@ mod tests {
             "stale temp files must be cleared on open"
         );
         // Published entries and fresh writes are unaffected.
-        assert_eq!(store.get(&key), CellLookup::Hit("{}".to_string()));
-        store.put(&key, "{\"v\":2}").unwrap();
-        assert_eq!(store.get(&key), CellLookup::Hit("{\"v\":2}".to_string()));
+        assert_eq!(store.get(&key), CellLookup::Hit(1u64));
+        store.put(&key, &2u64).unwrap();
+        assert_eq!(store.get(&key), CellLookup::Hit(2u64));
         CellStore::wipe(&root).unwrap();
     }
 
@@ -524,5 +597,57 @@ mod tests {
         );
         assert!(store.keys().unwrap().is_empty());
         CellStore::wipe(&root).unwrap();
+    }
+
+    /// The memo contract every artifact cache relies on: cold computes and
+    /// writes through, warm serves the byte-identical value without
+    /// computing, other keys miss, and a corrupted entry is recomputed
+    /// rather than trusted.
+    #[test]
+    fn get_or_compute_is_cold_then_warm_then_recovers_from_corruption() {
+        let root = temp_root("memo");
+        let store = CellStore::open(&root, &StoreManifest::memo("test memo", 1)).unwrap();
+        let key = CellKey::from_canonical("artifact|seed=11");
+        let (cold, source) = store.get_or_compute(&key, || artifact(11)).unwrap();
+        assert_eq!(source, MemoSource::Computed);
+        let (warm, source) = store
+            .get_or_compute(&key, || -> Artifact {
+                panic!("a warm hit must not compute")
+            })
+            .unwrap();
+        assert_eq!(source, MemoSource::Cached);
+        assert_eq!(cold, warm);
+        assert_eq!(
+            serde_json::to_string(&cold).unwrap(),
+            serde_json::to_string(&warm).unwrap(),
+            "a memo hit must reproduce the fresh computation byte for byte"
+        );
+        assert_eq!(store.get(&key), CellLookup::Hit(cold.clone()));
+        let other = CellKey::from_canonical("artifact|seed=12");
+        assert_eq!(store.get::<Artifact>(&other), CellLookup::Miss);
+
+        fs::write(store.cell_path(&key), "garbage").unwrap();
+        let (recovered, source) = store.get_or_compute(&key, || artifact(11)).unwrap();
+        assert_eq!(source, MemoSource::Recomputed);
+        assert_eq!(recovered, cold);
+        assert_eq!(store.get(&key), CellLookup::Hit(cold));
+        CellStore::wipe(&root).unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn cell_header_round_trips(
+            canonical in prop::collection::vec(any::<u8>(), 0..40),
+            body in prop::collection::vec(32u8..127, 0..200),
+        ) {
+            let key = CellKey::from_canonical(&String::from_utf8_lossy(&canonical));
+            let body = String::from_utf8(body).unwrap();
+            let header = CellHeader::describe(&key, &body);
+            let json = serde_json::to_string(&header).unwrap();
+            let decoded: CellHeader = serde_json::decode(&json).unwrap();
+            prop_assert_eq!(&decoded, &header);
+            prop_assert_eq!(serde_json::to_string(&decoded).unwrap(), json);
+        }
     }
 }

@@ -28,8 +28,8 @@ use common::first_diff;
 
 use pthammer_harness::{
     cell_store_key, merge_stores, run_campaign, run_campaign_resumable, run_campaign_shard,
-    store_manifest, CampaignConfig, CellKey, CellStore, ProfileChoice, ResumeStats, ScenarioMatrix,
-    ShardSpec, StoreError,
+    store_manifest, CampaignConfig, CellKey, CellReport, CellStore, ProfileChoice, ResumeStats,
+    ScenarioMatrix, ShardSpec, StoreError,
 };
 
 /// Base seed of the pinned campaign (matches `tests/campaign_matrix.rs`).
@@ -83,9 +83,10 @@ struct Fixture {
     kill_stats: ResumeStats,
     /// Stats of the resuming invocation.
     resume_stats: ResumeStats,
-    /// Every cell's `(key, verified stored body)` in canonical matrix order;
-    /// other tests redistribute these across stores without recomputing.
-    bodies: Vec<(CellKey, String)>,
+    /// Every cell's `(key, verified and decoded stored report)` in canonical
+    /// matrix order; other tests redistribute these across stores without
+    /// recomputing.
+    bodies: Vec<(CellKey, CellReport)>,
 }
 
 fn fixture() -> &'static Fixture {
@@ -115,7 +116,7 @@ fn fixture() -> &'static Fixture {
             .map(|coord| {
                 let key = cell_store_key(coord);
                 match store.get(&key) {
-                    pthammer_harness::CellLookup::Hit(body) => (key, body),
+                    pthammer_harness::CellLookup::Hit(report) => (key, report),
                     other => panic!("cell {coord:?} not stored after resume: {other:?}"),
                 }
             })
@@ -134,9 +135,9 @@ fn fixture() -> &'static Fixture {
 /// Builds a store holding exactly the fixture cells selected by `owned`.
 fn store_with(tag: &str, owned: impl Fn(usize, &CellKey) -> bool) -> (CellStore, PathBuf) {
     let (store, root) = temp_store(tag);
-    for (i, (key, body)) in fixture().bodies.iter().enumerate() {
+    for (i, (key, report)) in fixture().bodies.iter().enumerate() {
         if owned(i, key) {
-            store.put(key, body).expect("seed store");
+            store.put(key, report).expect("seed store");
         }
     }
     (store, root)
