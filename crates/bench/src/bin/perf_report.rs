@@ -180,6 +180,21 @@ fn cell_counters(perf: &CellPerf) -> BTreeMap<String, u64> {
     counters
 }
 
+/// Adds the frame allocator's work counters of a campaign workload and
+/// asserts that placement-constrained allocation stays a handful of free-list
+/// range queries per frame: the exact-counter form of "no per-frame scan".
+fn insert_alloc_counters(counters: &mut BTreeMap<String, u64>, perf: &CellPerf) {
+    assert!(
+        perf.alloc_probes <= 8 * perf.alloc_filtered,
+        "set-constrained allocation must average at most 8 range queries per frame: \
+         {} queries for {} allocations",
+        perf.alloc_probes,
+        perf.alloc_filtered
+    );
+    counters.insert("alloc_filtered".to_string(), perf.alloc_filtered);
+    counters.insert("alloc_probes".to_string(), perf.alloc_probes);
+}
+
 /// Workload 2: one Table I attack cell (Lenovo T420, undefended, fast
 /// profile) at CI scale, via the campaign harness.
 fn table1_cell_workload() -> WorkloadPerf {
@@ -220,6 +235,7 @@ fn campaign_workload() -> WorkloadPerf {
     let (report, perf) = run_campaign_instrumented(&matrix, &config);
     let wall_ns = watch.elapsed_ns();
     let mut counters = cell_counters(&perf);
+    insert_alloc_counters(&mut counters, &perf);
     counters.insert("cells".to_string(), report.cells.len() as u64);
     counters.insert(
         "attempts".to_string(),
@@ -275,6 +291,7 @@ fn campaign_resume_workload() -> WorkloadPerf {
         "cache hits must not simulate"
     );
     let mut counters = cell_counters(&perf);
+    insert_alloc_counters(&mut counters, &perf);
     counters.insert("cells".to_string(), matrix.len() as u64);
     counters.insert(
         "store_cold_cells_computed".to_string(),

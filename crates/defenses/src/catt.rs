@@ -1,9 +1,9 @@
 //! CATT: CAn't-Touch-This (Brasser et al., USENIX Security 2017).
 
 use pthammer_dram::DramGeometry;
-use pthammer_kernel::{BuddyAllocator, DefenseKind, FramePurpose, PlacementPolicy};
+use pthammer_kernel::{BuddyAllocator, DefenseKind, FramePurpose, FrameSet, PlacementPolicy};
 
-use crate::{row_of_frame, total_rows};
+use crate::{row_frames, row_of_frame, total_rows};
 
 /// CATT partitions DRAM rows into a kernel region (low row indices) and a
 /// user region (high row indices), separated by guard rows. Unprivileged
@@ -17,6 +17,10 @@ pub struct CattPolicy {
     kernel_rows_end: u64,
     /// First row index of the user region.
     user_rows_start: u64,
+    /// The kernel region's frames (page tables and kernel data).
+    kernel_frames: FrameSet,
+    /// The user region's frames.
+    user_frames: FrameSet,
 }
 
 impl CattPolicy {
@@ -39,6 +43,8 @@ impl CattPolicy {
             geometry: *geometry,
             kernel_rows_end,
             user_rows_start,
+            kernel_frames: FrameSet::new([row_frames(geometry, 0..kernel_rows_end)]),
+            user_frames: FrameSet::new([row_frames(geometry, user_rows_start..u64::MAX)]),
         }
     }
 
@@ -70,11 +76,9 @@ impl PlacementPolicy for CattPolicy {
     fn allocate(&mut self, purpose: FramePurpose, buddy: &mut BuddyAllocator) -> Option<u64> {
         match purpose {
             FramePurpose::PageTable { .. } | FramePurpose::KernelData => {
-                buddy.alloc_frame_filtered(|f| self.frame_in_kernel_region(f), false)
+                buddy.alloc_frame_in(&mut self.kernel_frames, false)
             }
-            FramePurpose::UserPage { .. } => {
-                buddy.alloc_frame_filtered(|f| self.frame_in_user_region(f), false)
-            }
+            FramePurpose::UserPage { .. } => buddy.alloc_frame_in(&mut self.user_frames, false),
         }
     }
 }
@@ -97,6 +101,24 @@ mod tests {
         // No frame is in both regions.
         for frame in (0..g.total_frames()).step_by(997) {
             assert!(!(catt.frame_in_kernel_region(frame) && catt.frame_in_user_region(frame)));
+        }
+    }
+
+    #[test]
+    fn frame_sets_match_the_region_predicates() {
+        let g = geometry();
+        let catt = CattPolicy::new(&g, 0.25, 2);
+        for frame in 0..g.total_frames() {
+            assert_eq!(
+                catt.kernel_frames.contains(frame),
+                catt.frame_in_kernel_region(frame),
+                "kernel region, frame {frame}"
+            );
+            assert_eq!(
+                catt.user_frames.contains(frame),
+                catt.frame_in_user_region(frame),
+                "user region, frame {frame}"
+            );
         }
     }
 

@@ -1,9 +1,9 @@
 //! CTA: Cell-Type-Aware page-table protection (Wu et al., ASPLOS 2019).
 
 use pthammer_dram::{DramGeometry, FlipModel};
-use pthammer_kernel::{BuddyAllocator, DefenseKind, FramePurpose, PlacementPolicy};
+use pthammer_kernel::{BuddyAllocator, DefenseKind, FramePurpose, FrameSet, PlacementPolicy};
 
-use crate::{frames_per_row, row_of_frame, total_rows};
+use crate::{frames_per_row, row_frames, row_of_frame, total_rows};
 
 /// CTA's two layers of defense:
 ///
@@ -26,6 +26,11 @@ pub struct CtaPolicy {
     region_start_row: u64,
     /// Row indices (within the whole module) that contain only true cells.
     safe_rows: Vec<bool>,
+    /// The true-cell rows of the protected region: where L1PTs go.
+    l1pt_frames: FrameSet,
+    /// Every frame below the protected region: user memory from the bottom,
+    /// upper-level page tables and kernel data from the top.
+    low_frames: FrameSet,
 }
 
 impl CtaPolicy {
@@ -46,7 +51,7 @@ impl CtaPolicy {
         // A row index is safe if, in every bank, all of its weak cells (if
         // any) are true cells.
         let banks = geometry.total_banks();
-        let safe_rows = (0..rows)
+        let safe_rows: Vec<bool> = (0..rows)
             .map(|row| {
                 (0..banks).all(|bank| {
                     flip_model
@@ -56,10 +61,17 @@ impl CtaPolicy {
                 })
             })
             .collect();
+        let l1pt_frames = FrameSet::new(
+            (region_start_row..rows)
+                .filter(|&row| safe_rows[row as usize])
+                .map(|row| row_frames(geometry, row..row + 1)),
+        );
         Self {
             geometry: *geometry,
             region_start_row,
             safe_rows,
+            l1pt_frames,
+            low_frames: FrameSet::new([row_frames(geometry, 0..region_start_row)]),
         }
     }
 
@@ -103,27 +115,19 @@ impl PlacementPolicy for CtaPolicy {
 
     fn allocate(&mut self, purpose: FramePurpose, buddy: &mut BuddyAllocator) -> Option<u64> {
         match purpose {
+            // Highest true-cell frame in the protected region.
             FramePurpose::PageTable { level: 1, .. } => {
-                // Highest true-cell frame in the protected region.
-                let this = &*self;
-                buddy.alloc_frame_filtered(
-                    |f| this.frame_in_l1pt_region(f) && this.frame_in_true_cell_row(f),
-                    true,
-                )
+                buddy.alloc_frame_in(&mut self.l1pt_frames, true)
             }
             // Upper-level page tables and kernel data live below the L1PT
             // region but above user memory (allocated from the top of the
             // unprotected part).
             FramePurpose::PageTable { .. } | FramePurpose::KernelData => {
-                let limit = self.region_first_frame();
-                buddy.alloc_frame_filtered(|f| f < limit, true)
+                buddy.alloc_frame_in(&mut self.low_frames, true)
             }
             // User pages use the default bottom-up allocation, guaranteeing
             // they sit below every L1PT frame.
-            FramePurpose::UserPage { .. } => {
-                let limit = self.region_first_frame();
-                buddy.alloc_frame_filtered(|f| f < limit, false)
-            }
+            FramePurpose::UserPage { .. } => buddy.alloc_frame_in(&mut self.low_frames, false),
         }
     }
 }
@@ -145,6 +149,24 @@ mod tests {
         };
         let model = FlipModel::new(profile, 11, g.row_bytes);
         (g, model)
+    }
+
+    #[test]
+    fn frame_sets_match_the_region_predicates() {
+        let (g, model) = setup();
+        let cta = CtaPolicy::new(&g, &model, 0.2);
+        for frame in 0..g.total_frames() {
+            assert_eq!(
+                cta.l1pt_frames.contains(frame),
+                cta.frame_in_l1pt_region(frame) && cta.frame_in_true_cell_row(frame),
+                "L1PT rows, frame {frame}"
+            );
+            assert_eq!(
+                cta.low_frames.contains(frame),
+                frame < cta.region_first_frame(),
+                "below the region, frame {frame}"
+            );
+        }
     }
 
     #[test]

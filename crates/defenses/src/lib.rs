@@ -62,6 +62,16 @@ pub(crate) fn row_of_frame(geometry: &pthammer_dram::DramGeometry, frame: u64) -
     frame / frames_per_row(geometry)
 }
 
+/// The frames of the row indices `rows`; a row end past the last
+/// representable frame saturates to `u64::MAX`.
+pub(crate) fn row_frames(
+    geometry: &pthammer_dram::DramGeometry,
+    rows: std::ops::Range<u64>,
+) -> std::ops::Range<u64> {
+    let fpr = frames_per_row(geometry);
+    rows.start.saturating_mul(fpr)..rows.end.saturating_mul(fpr)
+}
+
 /// Total number of row indices in the module.
 pub(crate) fn total_rows(geometry: &pthammer_dram::DramGeometry) -> u64 {
     geometry.capacity_bytes() / geometry.row_span_bytes()

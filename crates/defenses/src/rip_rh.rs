@@ -3,9 +3,9 @@
 use std::collections::HashMap;
 
 use pthammer_dram::DramGeometry;
-use pthammer_kernel::{BuddyAllocator, DefenseKind, FramePurpose, PlacementPolicy};
+use pthammer_kernel::{BuddyAllocator, DefenseKind, FramePurpose, FrameSet, PlacementPolicy};
 
-use crate::{frames_per_row, row_of_frame, total_rows};
+use crate::{row_frames, total_rows};
 
 /// RIP-RH isolates *user processes* from one another by giving each process a
 /// dedicated band of DRAM rows (with guard rows between bands). It does not
@@ -21,10 +21,20 @@ pub struct RipRhPolicy {
     guard_rows: u64,
     /// First row index available for user bands (above the kernel's share).
     first_user_row: u64,
-    /// Assigned band start row per pid.
-    bands: HashMap<u32, u64>,
+    /// Assigned band per pid.
+    bands: HashMap<u32, Band>,
     /// Next band start row.
     next_band_row: u64,
+    /// Every frame above the kernel's share, where a process's pages go once
+    /// its band is full.
+    above_kernel: FrameSet,
+}
+
+/// One process's band of rows.
+#[derive(Debug, Clone)]
+struct Band {
+    start_row: u64,
+    frames: FrameSet,
 }
 
 impl RipRhPolicy {
@@ -41,6 +51,7 @@ impl RipRhPolicy {
             first_user_row,
             bands: HashMap::new(),
             next_band_row: first_user_row,
+            above_kernel: FrameSet::new([row_frames(geometry, first_user_row..u64::MAX)]),
         }
     }
 
@@ -48,17 +59,21 @@ impl RipRhPolicy {
     pub fn band_of(&self, pid: u32) -> Option<(u64, u64)> {
         self.bands
             .get(&pid)
-            .map(|&start| (start, start + self.rows_per_process))
+            .map(|band| (band.start_row, band.start_row + self.rows_per_process))
     }
 
-    fn band_for(&mut self, pid: u32) -> (u64, u64) {
-        if let Some(band) = self.band_of(pid) {
-            return band;
-        }
-        let start = self.next_band_row;
-        self.next_band_row = start + self.rows_per_process + self.guard_rows;
-        self.bands.insert(pid, start);
-        (start, start + self.rows_per_process)
+    /// The frames of `pid`'s band, assigning the next band on first use.
+    fn band_for(&mut self, pid: u32) -> &mut FrameSet {
+        let band = self.bands.entry(pid).or_insert_with(|| {
+            let start_row = self.next_band_row;
+            self.next_band_row = start_row + self.rows_per_process + self.guard_rows;
+            let rows = start_row..start_row + self.rows_per_process;
+            Band {
+                start_row,
+                frames: FrameSet::new([row_frames(&self.geometry, rows)]),
+            }
+        });
+        &mut band.frames
     }
 
     /// First row index available to user processes.
@@ -79,23 +94,12 @@ impl PlacementPolicy for RipRhPolicy {
     fn allocate(&mut self, purpose: FramePurpose, buddy: &mut BuddyAllocator) -> Option<u64> {
         match purpose {
             FramePurpose::UserPage { pid } => {
-                let (start_row, end_row) = self.band_for(pid);
-                let fpr = frames_per_row(&self.geometry);
-                let geometry = self.geometry;
-                buddy
-                    .alloc_frame_filtered(
-                        |f| {
-                            let row = row_of_frame(&geometry, f);
-                            row >= start_row && row < end_row
-                        },
-                        false,
-                    )
-                    // If the band is exhausted, RIP-RH would grow it; we fall back
-                    // to any frame above the kernel share.
-                    .or_else(|| {
-                        let min_frame = self.first_user_row * fpr;
-                        buddy.alloc_frame_filtered(|f| f >= min_frame, false)
-                    })
+                if let Some(frame) = buddy.alloc_frame_in(self.band_for(pid), false) {
+                    return Some(frame);
+                }
+                // If the band is exhausted, RIP-RH would grow it; we fall back
+                // to any frame above the kernel share.
+                buddy.alloc_frame_in(&mut self.above_kernel, false)
             }
             // Kernel memory (including all page tables) is not protected.
             FramePurpose::PageTable { .. } | FramePurpose::KernelData => buddy.alloc_frame(),
@@ -106,9 +110,36 @@ impl PlacementPolicy for RipRhPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{frames_per_row, row_of_frame};
 
     fn geometry() -> DramGeometry {
         DramGeometry::small_1gib()
+    }
+
+    #[test]
+    fn frame_sets_match_the_band_predicates() {
+        let g = geometry();
+        let mut policy = RipRhPolicy::new(&g, 8, 2);
+        for pid in [3, 1, 7] {
+            policy.band_for(pid);
+        }
+        let fpr = frames_per_row(&g);
+        for frame in 0..g.total_frames() {
+            let row = row_of_frame(&g, frame);
+            for pid in [1, 3, 7] {
+                let (start, end) = policy.band_of(pid).unwrap();
+                assert_eq!(
+                    policy.bands[&pid].frames.contains(frame),
+                    row >= start && row < end,
+                    "band of pid {pid}, frame {frame}"
+                );
+            }
+            assert_eq!(
+                policy.above_kernel.contains(frame),
+                frame >= policy.first_user_row() * fpr,
+                "above the kernel share, frame {frame}"
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! ZebRAM-style guard-row interleaving (Konoth et al., OSDI 2018).
 
 use pthammer_dram::DramGeometry;
-use pthammer_kernel::{BuddyAllocator, DefenseKind, FramePurpose, PlacementPolicy};
+use pthammer_kernel::{BuddyAllocator, DefenseKind, FramePurpose, FrameSet, PlacementPolicy};
 
-use crate::row_of_frame;
+use crate::{frames_per_row, row_frames, row_of_frame};
 
 /// ZebRAM places all usable data in alternating DRAM rows, keeping the rows
 /// in between as unused guard rows (in the real system the guard rows hold an
@@ -17,13 +17,21 @@ use crate::row_of_frame;
 #[derive(Debug, Clone)]
 pub struct ZebramPolicy {
     geometry: DramGeometry,
+    /// The frames of the even (usable) rows.
+    usable_frames: FrameSet,
 }
 
 impl ZebramPolicy {
     /// Creates a ZebRAM policy for the given DRAM geometry.
     pub fn new(geometry: &DramGeometry) -> Self {
+        let rows = geometry.total_frames().div_ceil(frames_per_row(geometry));
         Self {
             geometry: *geometry,
+            usable_frames: FrameSet::new(
+                (0..rows)
+                    .step_by(2)
+                    .map(|row| row_frames(geometry, row..row + 1)),
+            ),
         }
     }
 
@@ -43,14 +51,26 @@ impl PlacementPolicy for ZebramPolicy {
     }
 
     fn allocate(&mut self, _purpose: FramePurpose, buddy: &mut BuddyAllocator) -> Option<u64> {
-        buddy.alloc_frame_filtered(|f| self.frame_is_usable(f), false)
+        buddy.alloc_frame_in(&mut self.usable_frames, false)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frames_per_row;
+
+    #[test]
+    fn usable_frames_match_the_predicate() {
+        let g = DramGeometry::small_1gib();
+        let policy = ZebramPolicy::new(&g);
+        for frame in 0..g.total_frames() {
+            assert_eq!(
+                policy.usable_frames.contains(frame),
+                policy.frame_is_usable(frame),
+                "frame {frame}"
+            );
+        }
+    }
 
     #[test]
     fn all_allocations_land_in_even_rows() {

@@ -180,7 +180,8 @@ impl CampaignConfig {
 
 /// Deterministic perf accounting of one campaign cell (or, after
 /// [`CellPerf::absorb`], of a whole campaign): the simulated-hardware
-/// counters plus the measured hammer-iteration count.
+/// counters, the measured hammer-iteration count and the kernel frame
+/// allocator's work counters.
 ///
 /// The iteration count comes from
 /// [`AttackOutcome::hammer_iterations`](pthammer::AttackOutcome) — the
@@ -195,6 +196,12 @@ pub struct CellPerf {
     pub hammer_iterations: u64,
     /// Total simulated cycles the cell consumed.
     pub sim_cycles: u64,
+    /// Placement-constrained frame allocations the cell's kernel made
+    /// (`AllocCounters::filtered`).
+    pub alloc_filtered: u64,
+    /// Free-list range queries those allocations made
+    /// (`AllocCounters::probes`).
+    pub alloc_probes: u64,
 }
 
 impl CellPerf {
@@ -203,6 +210,8 @@ impl CellPerf {
         self.counters.absorb(&other.counters);
         self.hammer_iterations += other.hammer_iterations;
         self.sim_cycles += other.sim_cycles;
+        self.alloc_filtered += other.alloc_filtered;
+        self.alloc_probes += other.alloc_probes;
     }
 }
 
@@ -312,10 +321,13 @@ pub fn run_cell_instrumented(coord: &CellCoord, config: &CampaignConfig) -> (Cel
         }
         Err(err) => report.error = Some(err),
     }
+    let alloc = sys.alloc_counters();
     let perf = CellPerf {
         counters: MachineCounters::capture(sys.machine()),
         hammer_iterations: tally.iterations,
         sim_cycles: sys.rdtsc(),
+        alloc_filtered: alloc.filtered,
+        alloc_probes: alloc.probes,
     };
     // Mitigation interventions are part of the result row: campaigns on
     // TRR-era machines report how often the sampler fired against the cell

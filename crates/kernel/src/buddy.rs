@@ -6,13 +6,40 @@
 //! paper's pair selection land Level-1 page tables two DRAM rows apart. This
 //! allocator reproduces that behaviour by always splitting the lowest-address
 //! (or, on request, highest-address) free block.
+//!
+//! Placement defenses constrain a frame to a [`FrameSet`];
+//! [`BuddyAllocator::alloc_frame_in`] finds the lowest (or highest) free
+//! frame of the set with range queries over the per-order free lists.
 
 use std::collections::BTreeSet;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::Serialize;
+use crate::frame_set::{Cursor, FrameSet};
 
 /// Maximum block order (2^10 frames = 4 MiB blocks).
 pub const MAX_ORDER: u32 = 10;
+
+/// Source of allocator generations; starts at 1 because a [`Cursor`] uses 0
+/// for "no knowledge".
+static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_generation() -> u64 {
+    // Relaxed: a generation only has to be unique; it publishes no data.
+    NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Exact work counters of set-constrained allocation
+/// ([`BuddyAllocator::alloc_frame_in`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AllocCounters {
+    /// Calls to [`BuddyAllocator::alloc_frame_in`].
+    pub filtered: u64,
+    /// Free-list range queries those calls made. One query asks every order
+    /// for the lowest free frame at or above a frame (the highest at or
+    /// below it, top-down).
+    pub probes: u64,
+}
 
 /// A buddy allocator over physical frame numbers.
 ///
@@ -27,13 +54,19 @@ pub const MAX_ORDER: u32 = 10;
 /// buddy.free_frame(a);
 /// buddy.free_frame(b);
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug)]
 pub struct BuddyAllocator {
     /// Free blocks per order, keyed by their first frame number.
     free_lists: Vec<BTreeSet<u64>>,
     start_frame: u64,
     end_frame: u64,
     free_frames: u64,
+    /// Process-unique stamp of this allocator's free state, renewed on every
+    /// free. Between two frees the free frames only shrink, so a
+    /// [`FrameSet`] cursor computed at one generation stays valid for as
+    /// long as the generation does.
+    generation: u64,
+    counters: AllocCounters,
 }
 
 impl BuddyAllocator {
@@ -49,6 +82,8 @@ impl BuddyAllocator {
             start_frame,
             end_frame,
             free_frames: 0,
+            generation: fresh_generation(),
+            counters: AllocCounters::default(),
         };
         // Seed the free lists greedily with the largest aligned blocks.
         let mut frame = start_frame;
@@ -81,6 +116,11 @@ impl BuddyAllocator {
     /// The managed frame range.
     pub fn range(&self) -> (u64, u64) {
         (self.start_frame, self.end_frame)
+    }
+
+    /// Work done so far by [`alloc_frame_in`](Self::alloc_frame_in).
+    pub fn counters(&self) -> AllocCounters {
+        self.counters
     }
 
     /// Allocates a block of `2^order` frames, preferring the lowest address
@@ -152,44 +192,113 @@ impl BuddyAllocator {
         self.alloc_order(0, true)
     }
 
-    /// Allocates the lowest (or highest) free frame satisfying `pred`.
+    /// Allocates the lowest (or, when `from_top`, the highest) free frame in
+    /// `set`.
     ///
     /// Used by placement-policy defenses that constrain where page tables or
-    /// user data may live (e.g. CATT's per-bank partitions or CTA's
-    /// true-cell region).
-    pub fn alloc_frame_filtered<F: Fn(u64) -> bool>(
-        &mut self,
-        pred: F,
-        from_top: bool,
-    ) -> Option<u64> {
-        // Collect candidate blocks across orders sorted by address.
-        let mut blocks: Vec<(u64, u32)> = Vec::new();
-        for (order, list) in self.free_lists.iter().enumerate() {
-            for &frame in list {
-                blocks.push((frame, order as u32));
-            }
-        }
-        blocks.sort_unstable();
-        let iter: Box<dyn Iterator<Item = &(u64, u32)>> = if from_top {
-            Box::new(blocks.iter().rev())
-        } else {
-            Box::new(blocks.iter())
-        };
-        for &(block, order) in iter {
-            let size = 1u64 << order;
-            let frames: Box<dyn Iterator<Item = u64>> = if from_top {
-                Box::new((block..block + size).rev())
-            } else {
-                Box::new(block..block + size)
+    /// user data may live (e.g. CATT's kernel/user partitions or CTA's
+    /// true-cell region). Each step is one range query over the free lists:
+    /// it finds the nearest free frame in the search direction, and when that
+    /// frame falls in a gap of the set the search jumps to the next range.
+    /// The set's cursor skips the ranges earlier searches found full.
+    pub fn alloc_frame_in(&mut self, set: &mut FrameSet, from_top: bool) -> Option<u64> {
+        self.counters.filtered += 1;
+        let FrameSet {
+            ranges,
+            bottom_up,
+            top_down,
+        } = set;
+        let cursor = if from_top { top_down } else { bottom_up };
+        if cursor.generation != self.generation {
+            *cursor = Cursor {
+                passed: 0,
+                generation: self.generation,
             };
-            for frame in frames {
-                if pred(frame) {
-                    self.carve_frame(block, order, frame);
-                    return Some(frame);
+        }
+        let (frame, block, order) = if from_top {
+            self.search_down(ranges, &mut cursor.passed)
+        } else {
+            self.search_up(ranges, &mut cursor.passed)
+        }?;
+        self.carve_frame(block, order, frame);
+        Some(frame)
+    }
+
+    /// Lowest free frame of `ranges[*passed..]`, advancing `*passed` past
+    /// every range found full.
+    fn search_up(&mut self, ranges: &[Range<u64>], passed: &mut usize) -> Option<(u64, u64, u32)> {
+        let mut at = ranges.get(*passed)?.start;
+        loop {
+            self.counters.probes += 1;
+            let Some(found) = self.lowest_free_at_or_above(at) else {
+                *passed = ranges.len();
+                return None;
+            };
+            // Every range ending at or below the found frame is full.
+            *passed += ranges[*passed..].partition_point(|r| r.end <= found.0);
+            let range = ranges.get(*passed)?;
+            if found.0 >= range.start {
+                return Some(found);
+            }
+            at = range.start;
+        }
+    }
+
+    /// Highest free frame of the ranges left after dropping `*passed` from
+    /// the back, advancing `*passed` past every range found full.
+    fn search_down(
+        &mut self,
+        ranges: &[Range<u64>],
+        passed: &mut usize,
+    ) -> Option<(u64, u64, u32)> {
+        let mut end = ranges.len() - *passed;
+        let mut at = ranges[..end].last()?.end - 1;
+        loop {
+            self.counters.probes += 1;
+            let Some(found) = self.highest_free_at_or_below(at) else {
+                *passed = ranges.len();
+                return None;
+            };
+            // Every range starting above the found frame is full.
+            end = ranges[..end].partition_point(|r| r.start <= found.0);
+            *passed = ranges.len() - end;
+            let range = ranges[..end].last()?;
+            if found.0 < range.end {
+                return Some(found);
+            }
+            at = range.end - 1;
+        }
+    }
+
+    /// The lowest free frame at or above `at`, with its block and order.
+    fn lowest_free_at_or_above(&self, at: u64) -> Option<(u64, u64, u32)> {
+        let mut best: Option<(u64, u64, u32)> = None;
+        for (order, list) in self.free_lists.iter().enumerate() {
+            // The first block starting late enough to reach `at` either
+            // contains `at` or is the next block above it.
+            let reach = (1u64 << order) - 1;
+            if let Some(&block) = list.range(at.saturating_sub(reach)..).next() {
+                let frame = block.max(at);
+                if best.is_none_or(|(f, _, _)| frame < f) {
+                    best = Some((frame, block, order as u32));
                 }
             }
         }
-        None
+        best
+    }
+
+    /// The highest free frame at or below `at`, with its block and order.
+    fn highest_free_at_or_below(&self, at: u64) -> Option<(u64, u64, u32)> {
+        let mut best: Option<(u64, u64, u32)> = None;
+        for (order, list) in self.free_lists.iter().enumerate() {
+            if let Some(&block) = list.range(..=at).next_back() {
+                let frame = (block + (1u64 << order) - 1).min(at);
+                if best.is_none_or(|(f, _, _)| frame > f) {
+                    best = Some((frame, block, order as u32));
+                }
+            }
+        }
+        best
     }
 
     /// Removes `frame` from the free block `(block, order)`, returning the
@@ -218,18 +327,30 @@ impl BuddyAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if the frame is outside the managed range.
+    /// Panics if the frame is outside the managed range or already free.
     pub fn free_frame(&mut self, frame: u64) {
         self.free_block(frame, 0);
     }
 
     /// Frees a block of `2^order` frames.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block leaves the managed range or any of its frames is
+    /// already free.
     pub fn free_block(&mut self, frame: u64, order: u32) {
+        let freed = 1u64 << order;
         assert!(
-            frame >= self.start_frame && frame + (1 << order) <= self.end_frame,
+            frame >= self.start_frame && frame + freed <= self.end_frame,
             "frame {frame} outside managed range"
         );
-        let freed = 1u64 << order;
+        if let Some((free, _, _)) = self.lowest_free_at_or_above(frame) {
+            assert!(
+                free >= frame + freed,
+                "double free: frame {free} of block {frame} (order {order}) is already free"
+            );
+        }
+        self.generation = fresh_generation();
         let mut frame = frame;
         let mut order = order;
         while order < MAX_ORDER {
@@ -244,30 +365,43 @@ impl BuddyAllocator {
         self.free_lists[order as usize].insert(frame);
         self.free_frames += freed;
     }
-
-    /// Exhausts all free blocks smaller than `min_order`, returning the
-    /// allocated frames. This models the allocator-massaging technique of
-    /// Cheng et al. (used in the paper's CATT evaluation) that forces later
-    /// page-table allocations into large, physically contiguous runs.
-    pub fn exhaust_small_blocks(&mut self, min_order: u32) -> Vec<u64> {
-        let mut taken = Vec::new();
-        for order in 0..min_order.min(MAX_ORDER + 1) {
-            let frames: Vec<u64> = self.free_lists[order as usize].iter().copied().collect();
-            for frame in frames {
-                self.free_lists[order as usize].remove(&frame);
-                let count = 1u64 << order;
-                self.free_frames -= count;
-                taken.extend(frame..frame + count);
-            }
-        }
-        taken
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl BuddyAllocator {
+        /// The frame-by-frame scan `alloc_frame_in` replaced, kept as its
+        /// oracle: collect every free block, sort by address and test frames
+        /// one at a time in the requested direction.
+        fn alloc_frame_scan(&mut self, pred: impl Fn(u64) -> bool, from_top: bool) -> Option<u64> {
+            let mut blocks: Vec<(u64, u32)> = Vec::new();
+            for (order, list) in self.free_lists.iter().enumerate() {
+                for &frame in list {
+                    blocks.push((frame, order as u32));
+                }
+            }
+            blocks.sort_unstable();
+            if from_top {
+                blocks.reverse();
+            }
+            for (block, order) in blocks {
+                let mut frames = block..block + (1u64 << order);
+                let hit = if from_top {
+                    frames.rfind(|&f| pred(f))
+                } else {
+                    frames.find(|&f| pred(f))
+                };
+                if let Some(frame) = hit {
+                    self.carve_frame(block, order, frame);
+                    return Some(frame);
+                }
+            }
+            None
+        }
+    }
 
     #[test]
     fn consecutive_allocations_are_consecutive_frames() {
@@ -309,16 +443,17 @@ mod tests {
     }
 
     #[test]
-    fn filtered_allocation_respects_predicate() {
+    fn set_allocation_stays_in_the_set() {
         let mut b = BuddyAllocator::new(0, 1024);
         // Only frames in "odd row spans" (every other group of 64 frames).
-        let pred = |frame: u64| (frame / 64) % 2 == 1;
+        let mut odd = FrameSet::new((0..16).filter(|r| r % 2 == 1).map(|r| r * 64..(r + 1) * 64));
         for _ in 0..10 {
-            let f = b.alloc_frame_filtered(pred, false).unwrap();
-            assert!(pred(f));
+            let f = b.alloc_frame_in(&mut odd, false).unwrap();
+            assert!((f / 64) % 2 == 1);
         }
-        // Unsatisfiable predicate returns None without corrupting state.
-        assert!(b.alloc_frame_filtered(|_| false, false).is_none());
+        // An empty set returns None without corrupting state.
+        assert!(b.alloc_frame_in(&mut FrameSet::new([]), false).is_none());
+        assert!(b.alloc_frame_in(&mut FrameSet::new([]), true).is_none());
         let before = b.free_frames();
         let f = b.alloc_frame().unwrap();
         b.free_frame(f);
@@ -326,10 +461,63 @@ mod tests {
     }
 
     #[test]
-    fn filtered_from_top_picks_highest_satisfying() {
+    fn set_from_top_picks_highest_member() {
         let mut b = BuddyAllocator::new(0, 1024);
-        let f = b.alloc_frame_filtered(|fr| fr < 500, true).unwrap();
+        let f = b
+            .alloc_frame_in(&mut FrameSet::new(std::iter::once(0..500)), true)
+            .unwrap();
         assert_eq!(f, 499);
+    }
+
+    #[test]
+    fn sets_reaching_past_the_managed_range_are_clipped() {
+        let mut b = BuddyAllocator::new(256, 512);
+        let mut all = FrameSet::new(std::iter::once(0..u64::MAX));
+        assert_eq!(b.alloc_frame_in(&mut all, false), Some(256));
+        assert_eq!(b.alloc_frame_in(&mut all, true), Some(511));
+        let mut outside = FrameSet::new([0..256, 512..u64::MAX]);
+        assert_eq!(b.alloc_frame_in(&mut outside, false), None);
+        assert_eq!(b.alloc_frame_in(&mut outside, true), None);
+    }
+
+    #[test]
+    fn a_free_behind_the_cursor_is_found_again() {
+        let mut b = BuddyAllocator::new(0, 1024);
+        let mut rows = FrameSet::new([0..64, 128..192, 256..320]);
+        let first: Vec<u64> = (0..70)
+            .map(|_| b.alloc_frame_in(&mut rows, false).unwrap())
+            .collect();
+        assert_eq!(first[69], 133, "the cursor has passed the first range");
+        b.free_frame(first[5]);
+        assert_eq!(b.alloc_frame_in(&mut rows, false), Some(5));
+        assert_eq!(b.alloc_frame_in(&mut rows, false), Some(134));
+    }
+
+    #[test]
+    fn a_cursor_never_carries_over_to_another_allocator() {
+        let mut rows = FrameSet::new([0..64, 128..192]);
+        let mut first = BuddyAllocator::new(0, 1024);
+        for _ in 0..64 {
+            first.alloc_frame_in(&mut rows, false).unwrap();
+        }
+        assert_eq!(first.alloc_frame_in(&mut rows, false), Some(128));
+        // The cursor has passed the first range, which is still free in a
+        // fresh allocator.
+        let mut fresh = BuddyAllocator::new(0, 1024);
+        assert_eq!(fresh.alloc_frame_in(&mut rows, false), Some(0));
+    }
+
+    #[test]
+    fn cursor_keeps_guard_row_sets_to_few_probes() {
+        // ZebRAM's shape: every other row usable, the guard rows free.
+        let mut b = BuddyAllocator::new(16, 8192);
+        let mut even = FrameSet::new((0..128).step_by(2).map(|r| r * 64..(r + 1) * 64));
+        for _ in 0..2000 {
+            b.alloc_frame_in(&mut even, false).unwrap();
+        }
+        let c = b.counters();
+        assert_eq!(c.filtered, 2000);
+        assert!(c.probes <= 2 * c.filtered, "{c:?}");
     }
 
     #[test]
@@ -347,23 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn exhaust_small_blocks_removes_fragments() {
-        let mut b = BuddyAllocator::new(0, 1024);
-        // Create fragmentation: allocate some frames and free every other one.
-        let frames: Vec<u64> = (0..32).map(|_| b.alloc_frame().unwrap()).collect();
-        for f in frames.iter().step_by(2) {
-            b.free_frame(*f);
-        }
-        let taken = b.exhaust_small_blocks(5);
-        assert!(!taken.is_empty());
-        // After exhaustion, the next allocations come from large blocks and
-        // are therefore consecutive.
-        let a = b.alloc_frame().unwrap();
-        let c = b.alloc_frame().unwrap();
-        assert_eq!(c, a + 1);
-    }
-
-    #[test]
     fn nonzero_start_range() {
         let mut b = BuddyAllocator::new(256, 512);
         let f = b.alloc_frame().unwrap();
@@ -376,6 +547,59 @@ mod tests {
     fn freeing_foreign_frame_panics() {
         let mut b = BuddyAllocator::new(0, 128);
         b.free_frame(500);
+    }
+
+    #[test]
+    #[should_panic(expected = "double free")]
+    fn freeing_a_free_frame_panics() {
+        let mut b = BuddyAllocator::new(0, 128);
+        let f = b.alloc_frame().unwrap();
+        b.free_frame(f);
+        b.free_frame(f);
+    }
+
+    #[test]
+    #[should_panic(expected = "double free")]
+    fn freeing_a_block_with_a_free_frame_panics() {
+        let mut b = BuddyAllocator::new(0, 128);
+        let block = b.alloc_order(2, false).unwrap();
+        b.free_block(block, 2);
+        b.alloc_frame().unwrap();
+        b.free_block(block, 2);
+    }
+
+    /// A small deterministic generator for the proptest's frame sets.
+    fn next(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        *state >> 33
+    }
+
+    /// Four frame sets over a ~600-frame allocator: empty, random ranges,
+    /// random ranges with one reaching past the managed range, and
+    /// alternating 16-frame rows.
+    fn trace_sets(seed: u64) -> Vec<FrameSet> {
+        let mut state = seed;
+        let mut random = |open_ended: bool| {
+            let count = next(&mut state) % 6 + 1;
+            let mut ranges: Vec<Range<u64>> = (0..count)
+                .map(|_| {
+                    let start = next(&mut state) % 700;
+                    start..start + next(&mut state) % 90
+                })
+                .collect();
+            if open_ended {
+                ranges.push(next(&mut state) % 700..u64::MAX);
+            }
+            FrameSet::new(ranges)
+        };
+        vec![
+            FrameSet::new([]),
+            random(false),
+            random(true),
+            FrameSet::new((0..40).step_by(2).map(|r| r * 16..(r + 1) * 16)),
+        ]
     }
 
     proptest! {
@@ -401,6 +625,52 @@ mod tests {
                 }
                 prop_assert_eq!(b.free_frames() as usize + held.len(), 512);
             }
+        }
+
+        // `alloc_frame_in` returns exactly the frames the old scan returned,
+        // and leaves exactly the same free lists, under random traces of
+        // every allocator operation.
+        #[test]
+        fn prop_set_allocation_matches_the_scan(
+            seed in any::<u64>(),
+            ops in prop::collection::vec(any::<u64>(), 1..400),
+        ) {
+            let start = seed % 40;
+            let end = 512 + (seed >> 8) % 100;
+            let mut fast = BuddyAllocator::new(start, end);
+            let mut scan = BuddyAllocator::new(start, end);
+            let mut sets = trace_sets(seed);
+            let mut held: Vec<(u64, u32)> = Vec::new();
+            for op in ops {
+                let (kind, arg, from_top) = (op % 8, op >> 8, (op >> 4) & 1 == 1);
+                match kind {
+                    0 => {
+                        let got = fast.alloc_frame();
+                        prop_assert_eq!(got, scan.alloc_frame());
+                        held.extend(got.map(|f| (f, 0)));
+                    }
+                    1 => {
+                        let order = (arg % 4) as u32;
+                        let got = fast.alloc_order(order, from_top);
+                        prop_assert_eq!(got, scan.alloc_order(order, from_top));
+                        held.extend(got.map(|f| (f, order)));
+                    }
+                    2 | 3 if !held.is_empty() => {
+                        let (frame, order) = held.swap_remove((arg % held.len() as u64) as usize);
+                        fast.free_block(frame, order);
+                        scan.free_block(frame, order);
+                    }
+                    _ => {
+                        let set = &mut sets[(arg % 4) as usize];
+                        let expected = scan.alloc_frame_scan(|f| set.contains(f), from_top);
+                        let got = fast.alloc_frame_in(set, from_top);
+                        prop_assert_eq!(got, expected);
+                        held.extend(got.map(|f| (f, 0)));
+                    }
+                }
+                prop_assert_eq!(fast.free_frames(), scan.free_frames());
+            }
+            prop_assert_eq!(&fast.free_lists, &scan.free_lists);
         }
     }
 }

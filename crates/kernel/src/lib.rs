@@ -35,14 +35,16 @@
 mod buddy;
 mod cred;
 mod error;
+mod frame_set;
 mod policy;
 mod process;
 mod system;
 mod vma;
 
-pub use buddy::{BuddyAllocator, MAX_ORDER};
+pub use buddy::{AllocCounters, BuddyAllocator, MAX_ORDER};
 pub use cred::{Cred, CredSlot, CREDS_PER_FRAME, CRED_MAGIC, CRED_SIZE};
 pub use error::KernelError;
+pub use frame_set::FrameSet;
 pub use policy::{DefaultPolicy, DefenseKind, FramePurpose, PlacementPolicy};
 pub use process::{Pid, Process};
 pub use system::{KernelConfig, KernelStats, MmapOptions, System};

@@ -15,7 +15,7 @@ use pthammer_types::{
 };
 
 use crate::{
-    buddy::BuddyAllocator,
+    buddy::{AllocCounters, BuddyAllocator},
     cred::{Cred, CREDS_PER_FRAME, CRED_SIZE},
     error::KernelError,
     policy::{DefaultPolicy, DefenseKind, FramePurpose, PlacementPolicy},
@@ -165,6 +165,12 @@ impl System {
     /// Kernel allocation statistics.
     pub fn stats(&self) -> KernelStats {
         self.stats
+    }
+
+    /// Work counters of the frame allocator's set-constrained allocations
+    /// (the placement defenses' allocations).
+    pub fn alloc_counters(&self) -> AllocCounters {
+        self.buddy.counters()
     }
 
     /// Read access to the underlying machine (evaluation / oracle use only).
